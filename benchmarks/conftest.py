@@ -7,8 +7,8 @@ whole suite runs in a few minutes of pure-Python time; export
 * ``REPRO_FULL_DATASETS=1`` to cover all ten datasets, and/or
 * ``REPRO_BENCH_SCALE=<float>`` to grow every dataset proportionally,
 
-to trade time for fidelity.  The printed tables are the artefacts recorded in
-EXPERIMENTS.md.
+to trade time for fidelity.  The printed tables are the artefacts; run with
+``--exhibits-out PATH`` to also write them to a file.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from benchmarks.exhibits import persist_to, report  # noqa: F401 - report is re-exported
 from repro.experiments.harness import ExperimentConfig, default_dataset_names
 
 
@@ -50,21 +51,14 @@ def bench_config() -> ExperimentConfig:
     )
 
 
-#: File collecting every printed exhibit of a benchmark session (pytest captures
-#: stdout of passing tests, so the tables are persisted here as well).
-REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "benchmark_reports.txt")
-
-
 @pytest.fixture(scope="session", autouse=True)
-def _fresh_report_file():
-    """Start every benchmark session with an empty exhibit file."""
-    with open(REPORT_PATH, "w", encoding="utf-8") as handle:
-        handle.write("# Exhibits regenerated by `pytest benchmarks/ --benchmark-only`\n\n")
+def _exhibit_file(request):
+    """Persist this session's exhibits only under ``--exhibits-out PATH``.
+
+    pytest captures the stdout of passing tests, so the flag is how the
+    printed tables reach a file; without it nothing is written (the tracked
+    ``benchmark_reports.txt`` is the last explicitly regenerated copy).
+    """
+    persist_to(request.config.getoption("--exhibits-out"))
     yield
-
-
-def report(text: str) -> None:
-    """Print an exhibit and persist it to ``benchmark_reports.txt``."""
-    print("\n" + text + "\n")
-    with open(REPORT_PATH, "a", encoding="utf-8") as handle:
-        handle.write(text + "\n\n")
+    persist_to(None)

@@ -44,8 +44,7 @@ Schema (``repro-perf-smoke/4``)::
       },
       "engines": {           # Pareto-vs-LS calibration (core/calibration)
         "measurements": [{"updates", "pareto_seconds",
-                          "label_search_seconds", "speedup"}, ...],
-        "recommended_label_search_max": ...
+                          "label_search_seconds", "speedup"}, ...]
       }
     }
 
@@ -258,8 +257,6 @@ def main(argv: list[str] | None = None) -> int:
               f"pareto {m['pareto_seconds'] * 1e3:.2f} ms, "
               f"label_search {m['label_search_seconds'] * 1e3:.2f} ms "
               f"(x{m['speedup']:.2f})")
-    print(f"engines: recommended label_search_max = "
-          f"{result['engines']['recommended_label_search_max']}")
 
     for target in (args.out, args.write_baseline):
         if target is not None:

@@ -60,10 +60,9 @@ def test_figure10_batched_beats_per_update_1k(bench_config):
             stl.apply_update(update)
     per_update = loop_timer.elapsed
 
-    # process_min_updates=None keeps this series on the engine/thread pair
-    # this benchmark has always measured; the process pool needs real cores
-    # to win and is compared separately in test_figure10_sharded.py.
-    stl.batch_policy = BatchPolicy(rebuild_fraction=None, process_min_updates=None)
+    # The default routing with only the rebuild crossover switched off: the
+    # serial batched Label Search engine.
+    stl.batch_policy = BatchPolicy(rebuild_fraction=None)
     engine_only, engine_fallbacks = measure_batched_seconds(stl, halves)
 
     stl.batch_policy = BatchPolicy()

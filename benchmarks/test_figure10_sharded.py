@@ -55,8 +55,14 @@ def test_figure10_sharded_vs_serial_1k(bench_config):
     )
     halves = (stream.increases(), stream.decreases())
 
-    serial_seconds, _ = measure_batched_seconds(serial_stl, halves, parallel=False)
-    sharded_seconds, _ = measure_batched_seconds(sharded_stl, halves, parallel=True)
+    # Both sides pin the Pareto batch engine: this exhibit compares its serial
+    # and thread-sharded phases, and an unpinned batch runs Label Search.
+    serial_seconds, _ = measure_batched_seconds(
+        serial_stl, halves, parallel=False, engine="pareto"
+    )
+    sharded_seconds, _ = measure_batched_seconds(
+        sharded_stl, halves, parallel=True, engine="pareto"
+    )
 
     plan = sharded_stl._shard_engine.planner.plan(
         stream.increases().coalesce(sharded_stl.graph)

@@ -37,20 +37,22 @@ suffix length (the suffix is old-valid) nor undershoots the true new
 distance.  Tests verify both passes entry-wise against from-scratch rebuilds.
 
 :class:`BatchPolicy` additionally decides *which* processing strategy a batch
-deserves.  It is a four-way crossover (plus the rebuild fallback):
+deserves.  By default that is a three-way crossover on the net batch size:
 
 * tiny batches run through the historical **per-update loop** -- the batch
   machinery has fixed costs that one or two updates never amortise,
-* moderate batches run through the shared-phase **batched** engine above,
-* large batches whose updates spread across the partition regions of
-  :class:`repro.core.shard.ShardPlanner` run through the **thread-sharded**
-  :class:`repro.core.shard.ShardedBatchEngine`,
-* very large well-spread batches (past ``process_min_updates``) run through
-  the **process-sharded** :class:`repro.core.parallel.ProcessShardBackend`,
-  whose per-batch shipping overhead only amortises when there is enough
-  repair work per shard to keep the worker processes busy,
-* and past a configurable fraction of affected edges a from-scratch label
-  **rebuild** (the Figure 10 baseline) is cheaper than any maintenance.
+* past a configurable fraction of affected edges a from-scratch label
+  **rebuild** (the Figure 10 baseline) is cheaper than any maintenance,
+* everything in between runs on the serial **batched Label Search** engine
+  (:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`), the
+  one cell of the engine x backend matrix that has won a committed
+  measurement at every batch size.
+
+The Pareto batch engine above and the sharded worker-pool backends
+(:class:`repro.core.shard.ShardedBatchEngine`,
+:class:`repro.core.parallel.ProcessShardBackend`) run only when a caller
+names them in an :class:`repro.core.config.STLConfig`, or re-enables the
+policy's sharding leg by setting ``parallel_min_updates``.
 
 :meth:`repro.core.stl.StableTreeLabelling.apply_batch` consults the policy
 and dispatches accordingly.
@@ -100,22 +102,29 @@ def normalize_engine(engine: str | None) -> str | None:
 class BatchPolicy:
     """Knobs governing how a batch of updates is processed.
 
-    The policy implements a four-way crossover keyed on the *net* (coalesced)
-    batch size, refined by the shard balance of the planned partition:
+    The default policy is keyed on the *net* (coalesced) batch size alone:
 
     ===========================  =====================================
     net batch size               strategy
     ===========================  =====================================
     ``< batched_min_updates``    per-update loop (``apply_update``)
-    moderate                     shared-phase :class:`BatchedParetoEngine`
+    ``> rebuild_fraction * m``   in-place label rebuild (and at least
+                                 ``rebuild_min_updates``)
+    everything else              serial batched Label Search
+                                 (``label_search/serial``; vector kernels
+                                 with numpy, scalar without)
+    ===========================  =====================================
+
+    The sharded backends are reached only through an explicit
+    ``STLConfig(backend=...)`` or by setting ``parallel_min_updates``:
+
+    ===========================  =====================================
     ``>= parallel_min_updates``  thread-sharded worker pool, *if* the shard
                                  plan keeps at least ``parallel_min_balance``
                                  of the updates out of the residual shard
     ``>= process_min_updates``   process-sharded pool with partitioned label
                                  ownership (same balance gate)
     ===========================  =====================================
-
-    with the pre-existing rebuild fallback taking precedence over all four.
 
     Attributes
     ----------
@@ -133,48 +142,26 @@ class BatchPolicy:
     parallel_min_updates:
         From this many net updates onward the sharded-parallel engine is
         *considered*: a shard plan is computed and used when it is balanced
-        enough (see ``parallel_min_balance``).  ``None`` disables the
-        sharded path from the policy side (``parallel=True`` still forces it).
+        enough (see ``parallel_min_balance``).  ``None`` (the default) keeps
+        the policy from ever sharding: on the 10k benchmark graph neither
+        pool beat ``label_search/serial`` at any measured batch size
+        (``bench/baseline.json``), so sharding is an explicit
+        ``STLConfig(backend="thread"/"process")`` choice.
     parallel_min_balance:
         Minimum fraction of the net updates that must land in per-region
         shard sub-batches (rather than the serial residual shard) for the
-        sharded engine to be worth its pool/merge overhead.
+        sharded engine to be worth its pool/merge overhead.  Not reached
+        under the default ``parallel_min_updates=None``.
     process_min_updates:
-        From this many net updates onward a sharded batch is routed to the
-        process-pool backend (:mod:`repro.core.parallel`) instead of the
-        thread pool.  The default of 384 (twice ``parallel_min_updates``)
-        comes from the shipping calibration
-        (:func:`repro.core.calibration.calibrate_shipping`, run by
-        ``benchmarks/perf_smoke.py`` on the NY x0.5 smoke graph): the old
-        slice-shipping protocol moved ~380 KB in ~2.4-3.2 ms per batch
-        *independent of batch size*, which is why the backend used to be
-        opt-in (``None``); the resident delta protocol ships 1.9-20 KB in
-        0.04-0.3 ms (20-200x fewer bytes, 11-59x less time), clearing the
-        10-percent-of-processing-time overhead bar from ~48-update batches up.
-        Shipping therefore no longer gates the crossover; the remaining
-        per-batch cost is the two serial settlement passes, so the default
-        leaves the mid range to the thread engine and engages the process
-        pool only where there is twice the repair work the thread gate
-        already demands.  ``None`` disables the fourth leg;
-        ``parallel="process"`` always forces it regardless.
-    label_search_max_updates:
-        The engine half of the joint engine x backend crossover
-        (:meth:`engine_for`): batches up to this many net updates run the
-        batched Label Search engine
-        (:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`),
-        larger ones the batched Pareto engine.  Calibrated like
-        ``process_min_updates``, via
-        :func:`repro.core.calibration.calibrate_engines` on the NY x0.5
-        smoke graph (run by ``benchmarks/perf_smoke.py``): Label Search's
-        per-index queues won every size measured there -- 1.4-2.7x faster
-        on coalesced batches of 23-311 net updates (raw sizes 24-384), the
-        widening gap tracking how its one-drain-per-index cost saturates
-        while Pareto pays per update.  The default of 384 routes the whole
-        measured range to Label Search and leaves the unmeasured beyond to
-        Pareto's update-centric searches, whose shared frontier amortises
-        better as updates begin to overlap.  ``None`` pins the crossover to
-        Pareto (the pre-PR-7 behaviour); an explicit
-        ``apply_batch(engine=...)`` always wins over the crossover.
+        From this many net updates onward a batch the policy shards is
+        routed to the process-pool backend (:mod:`repro.core.parallel`)
+        instead of the thread pool; ``None`` keeps such batches on threads.
+        Not reached under the default ``parallel_min_updates=None``.  The
+        value 384 comes from the shipping calibration
+        (:func:`repro.core.calibration.calibrate_shipping`): the resident
+        delta protocol ships 1.9-20 KB in 0.04-0.3 ms per batch, so shipping
+        does not gate the pool; the two serial settlement passes do, and
+        they only amortise with twice the repair work the thread pool needs.
     max_workers:
         Worker-pool size for the sharded engines; ``None`` lets each engine
         size its pool to ``min(#shards, os.cpu_count())``.
@@ -183,10 +170,9 @@ class BatchPolicy:
     rebuild_min_updates: int = 64
     rebuild_fraction: float | None = 0.25
     batched_min_updates: int = 3
-    parallel_min_updates: int | None = 192
+    parallel_min_updates: int | None = None
     parallel_min_balance: float = 0.5
     process_min_updates: int | None = 384
-    label_search_max_updates: int | None = 384
     max_workers: int | None = None
 
     def should_rebuild(self, num_net_updates: int, num_edges: int) -> bool:
@@ -211,30 +197,24 @@ class BatchPolicy:
         """Which sharded backend a batch of this size deserves.
 
         Only consulted after :meth:`should_shard` (and the plan-balance
-        gate) already said yes; the answer is the fourth leg of the
-        crossover: ``"process"`` past ``process_min_updates``, else
-        ``"thread"``.
+        gate) already said yes: ``"process"`` past ``process_min_updates``,
+        else ``"thread"``.
         """
         if self.process_min_updates is not None and num_net_updates >= self.process_min_updates:
             return "process"
         return "thread"
 
     def engine_for(self, num_net_updates: int) -> str:
-        """Which batch engine a batch of this size deserves.
+        """Which batch engine a batch of this size deserves: Label Search.
 
-        The engine half of the joint crossover: ``"label_search"`` up to
-        ``label_search_max_updates`` net updates, ``"pareto"`` beyond (and
-        always when the threshold is ``None``).  Only consulted when the
-        caller passed neither ``engine=...`` nor a Label Search maintenance
-        mode; orthogonal to :meth:`backend_for` -- either engine runs on any
-        backend.
+        Only consulted when the caller named no engine
+        (``STLConfig(engine=...)``) and the index is not in a Label Search
+        maintenance mode.  Batched Label Search has been ahead of the Pareto
+        batch engine at every measured size, so there is no crossover to
+        key on ``num_net_updates``; the Pareto batch engine runs when a
+        config says ``engine="pareto"``.
         """
-        if (
-            self.label_search_max_updates is not None
-            and num_net_updates <= self.label_search_max_updates
-        ):
-            return "label_search"
-        return "pareto"
+        return "label_search"
 
     def accepts_plan(self, populated_shards: int, balance: float) -> bool:
         """Whether a computed shard plan is balanced enough to run.

@@ -24,22 +24,30 @@ The two kind groups touch disjoint edges (coalescing guarantees it), so the
 increase pass's weight writes never invalidate a decrease's recorded old
 weight -- the same ordering argument as the Pareto batch engine.
 
-This engine is the Label Search analogue of ``BatchedParetoEngine`` in the
-engine x backend matrix (see docs/architecture.md): it serves as the
-``serial`` backend, as the degenerate-plan and residual fallback of the
-``thread``/``process`` backends, and as the settle substrate those backends'
-escape records drain into.  Select it per batch with
-``StableTreeLabelling.apply_batch(engine="label_search")`` or let
-:meth:`repro.core.batch.BatchPolicy.engine_for` pick.
+With numpy the same two passes run as **frontier rounds** over flat entry
+positions of the CSR label store, every label index of the batch at once
+(:class:`repro.core.kernels.LabelSearchRounds`); the per-index heaps are the
+fallback without numpy and the reference in the tests.  Both produce
+bit-identical labels.
+
+This engine is what :class:`repro.core.batch.BatchPolicy` routes every
+batch to by default (``label_search/serial``).  In the engine x backend
+matrix (see docs/architecture.md) it also serves as the degenerate-plan and
+residual fallback of the ``thread``/``process`` backends, whose confined
+shard workers run the scalar kernels of :mod:`repro.core.label_search`
+directly.  Pin it with ``STLConfig(engine="label_search")``; pin its
+implementation with ``STLConfig(kernel="scalar"/"vector")``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro.core import kernels
 from repro.core.batch import validate_coalesced
 from repro.core.label_search import (
     MaintenanceStats,
+    _orient,
     drain_affected_queues,
     drain_decrease_queues,
     repair_affected_entries,
@@ -67,14 +75,37 @@ def merge_affected_sets(
 
 
 class BatchedLabelSearchEngine:
-    """Shared-queue Label Search over a coalesced batch of updates."""
+    """Shared-queue Label Search over a coalesced batch of updates.
 
-    def __init__(self, graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabels):
+    Two implementations of the same two passes, selected per :meth:`apply`
+    call by what the interpreter offers (``kernel=None``: numpy present ->
+    vector) or pinned by ``kernel="scalar"`` / ``"vector"``:
+
+    * **scalar** -- the per-index heaps of :mod:`repro.core.label_search`,
+      one ``(vertex, index)`` entry at a time; the only path without numpy
+      and the reference the vector rounds are tested against.
+    * **vector** -- :class:`repro.core.kernels.LabelSearchRounds`: all label
+      indexes of the batch at once over flat entry positions, in
+      level-synchronous rounds.  Labels come out bit-identical to the scalar
+      path (see that class for the argument).
+
+    ``mirror`` lets the owner of several engines over one graph share a
+    single :class:`repro.core.kernels.AdjacencyMirror`.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        hierarchy: StableTreeHierarchy,
+        labels: STLLabels,
+        mirror: kernels.AdjacencyMirror | None = None,
+    ):
         self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
+        self.mirror = mirror if mirror is not None else kernels.AdjacencyMirror(graph)
 
-    def apply(self, updates: Sequence[EdgeUpdate]) -> MaintenanceStats:
+    def apply(self, updates: Sequence[EdgeUpdate], kernel: str | None = None) -> MaintenanceStats:
         """Apply one coalesced batch (at most one net update per edge).
 
         Net increases are processed first (their phase-1 search must see the
@@ -82,19 +113,71 @@ class BatchedLabelSearchEngine:
         NEUTRAL net updates change nothing but are counted as processed.
         Raises :class:`repro.utils.errors.UpdateError` on non-coalesced or
         stale input, exactly like the Pareto batch engine.
+
+        Counters mean the same on both kernels: ``vertices_affected`` is the
+        number of entries marked by the increase pass, ``labels_changed``
+        the number of distinct entries rewritten per pass, ``heap_pushes``
+        the entries enqueued (on a heap, or on a frontier).  The vector
+        kernel also records ``extra["vector_kernel"] = 1`` and
+        ``extra["rounds"]``, the number of frontiers it processed.
         """
         validate_coalesced(self.graph, updates)
+        vector = kernels.normalize_kernel(kernel) == "vector"
         increases = [u for u in updates if u.kind is UpdateKind.INCREASE]
         decreases = [u for u in updates if u.kind is UpdateKind.DECREASE]
         stats = MaintenanceStats(updates_processed=len(updates))
         if increases:
-            stats.merge(self._apply_increases(increases))
+            run = self._apply_increases_vector if vector else self._apply_increases
+            stats.merge(run(increases))
         if decreases:
-            stats.merge(self._apply_decreases(decreases))
+            run = self._apply_decreases_vector if vector else self._apply_decreases
+            stats.merge(run(decreases))
+        if vector:
+            stats.extra["vector_kernel"] = 1
         return stats
 
     # ------------------------------------------------------------------ #
-    # Increases: one shared phase-1 pass, one combined per-index repair
+    # Vector kernel: both passes as frontier rounds over entry positions
+    # ------------------------------------------------------------------ #
+
+    def _rounds_over(
+        self, updates: Sequence[EdgeUpdate]
+    ) -> tuple[kernels.LabelSearchRounds, Any, Any]:
+        """A round driver plus the batch's edges oriented ``tau(a) < tau(b)``."""
+        tau = self.hierarchy.tau
+        a, b = zip(*(_orient(update, tau) for update in updates))
+        return kernels.LabelSearchRounds(self.labels, self.hierarchy, self.mirror), a, b
+
+    def _land_weights(self, updates: Sequence[EdgeUpdate]) -> None:
+        for update in updates:
+            self.graph.set_weight(update.u, update.v, update.new_weight)
+
+    def _apply_increases_vector(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
+        search, a, b = self._rounds_over(increases)
+        marked, seeded = search.mark_increases(a, b, [u.old_weight for u in increases])
+        self._land_weights(increases)
+        affected = search.repair_marked(marked)
+        stats = MaintenanceStats(
+            ancestors_touched=seeded,
+            labels_changed=affected,
+            vertices_affected=affected,
+            heap_pushes=search.enqueued,
+        )
+        stats.extra["rounds"] = search.rounds
+        return stats
+
+    def _apply_decreases_vector(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
+        search, a, b = self._rounds_over(decreases)
+        self._land_weights(decreases)
+        seeded, changed = search.decrease(a, b, [u.new_weight for u in decreases])
+        stats = MaintenanceStats(
+            ancestors_touched=seeded, labels_changed=changed, heap_pushes=search.enqueued
+        )
+        stats.extra["rounds"] = search.rounds
+        return stats
+
+    # ------------------------------------------------------------------ #
+    # Scalar kernel, increases: one shared phase-1 pass, one per-index repair
     # ------------------------------------------------------------------ #
 
     def _apply_increases(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
@@ -113,8 +196,7 @@ class BatchedLabelSearchEngine:
         for affected in affected_by_index.values():
             stats.vertices_affected += len(affected)
 
-        for update in increases:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
+        self._land_weights(increases)
 
         adjacency = self.graph.adjacency()
         for index in sorted(affected_by_index):
@@ -126,7 +208,7 @@ class BatchedLabelSearchEngine:
         return stats
 
     # ------------------------------------------------------------------ #
-    # Decreases: one shared seed + drain pass on the new weights
+    # Scalar kernel, decreases: one shared seed + drain pass on the new weights
     # ------------------------------------------------------------------ #
 
     def _apply_decreases(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
@@ -135,8 +217,7 @@ class BatchedLabelSearchEngine:
         labels = self.labels
         counters = [0, 0, 0]
 
-        for update in decreases:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
+        self._land_weights(decreases)
 
         queues: dict[int, list[tuple[float, int]]] = {}
         seed_decrease_queues(tau, labels, decreases, queues, counters)

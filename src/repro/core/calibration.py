@@ -1,10 +1,9 @@
 """Empirical calibration for the batch-policy crossovers.
 
-Two knobs of :class:`repro.core.batch.BatchPolicy` are grounded in
-measurement rather than analysis, and this module provides the measurement
-for both: :func:`calibrate_shipping` for the **backend** crossover
-(``process_min_updates``) and :func:`calibrate_engines` for the **engine**
-crossover (``label_search_max_updates``).
+:func:`calibrate_shipping` measures what sizes the **backend** crossover
+(``process_min_updates``); :func:`calibrate_engines` races the two serial
+batch engine families, the measurement behind the default routing of every
+batch to Label Search (there is no engine crossover left to size).
 
 :class:`repro.core.batch.BatchPolicy.process_min_updates` decides when a
 sharded batch is routed to the process pool.  The right value depends on
@@ -247,23 +246,6 @@ class EngineCalibration:
 
     measurements: tuple[EngineMeasurement, ...]
 
-    def recommended_label_search_max(self) -> int | None:
-        """Largest measured batch size up to which Label Search kept winning.
-
-        Scans the measurements in ascending batch size and stops at the
-        first size where the Pareto engine was strictly faster -- the
-        crossover must be a *prefix* property (route small batches to Label
-        Search, large ones to Pareto), so an isolated Label Search win
-        beyond a loss does not extend the recommendation.  Returns ``None``
-        when Label Search lost even at the smallest measured size.
-        """
-        best: int | None = None
-        for m in sorted(self.measurements, key=lambda m: m.updates):
-            if m.label_search_seconds > m.pareto_seconds:
-                break
-            best = m.updates
-        return best
-
     def as_dict(self) -> dict:
         """JSON-friendly form (recorded by the perf-smoke artifact)."""
         return {
@@ -276,7 +258,6 @@ class EngineCalibration:
                 }
                 for m in self.measurements
             ],
-            "recommended_label_search_max": self.recommended_label_search_max(),
         }
 
 
@@ -294,9 +275,9 @@ def calibrate_engines(
     each engine ``rounds`` times, every application starting from a fresh
     copy of the graph and labels so no engine sees the other's writes (or
     its own previous round's); the minimum wall time per engine is kept.
-    The perf smoke records the result, and
-    :attr:`repro.core.batch.BatchPolicy.label_search_max_updates` documents
-    the recommendation this produced on the smoke workload.
+    The perf smoke records the result.  Both engines run their default
+    implementation, so with numpy the Label Search side is its vector
+    kernel.
     """
     from repro.core.batch import BatchedParetoEngine
     from repro.core.batch_label_search import BatchedLabelSearchEngine

@@ -15,8 +15,8 @@ backend    shard backend for batch maintenance         ``None`` / ``"serial"``
                                                        ``"process"``
 engine     batch engine family                         ``None`` / ``"pareto"``
                                                        / ``"label_search"``
-kernel     query kernel for ``batch_query``            ``None`` / ``"scalar"``
-                                                       / ``"vector"``
+kernel     kernel of ``batch_query`` and of the serial ``None`` / ``"scalar"``
+           batched Label Search engine                 / ``"vector"``
 policy     crossover thresholds                        a :class:`BatchPolicy`
                                                        or ``None``
 construction  index build pipeline                     ``None`` / ``"serial"``

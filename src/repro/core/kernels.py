@@ -17,6 +17,11 @@ This module is that payoff:
   compare over whole label rows at once; both the Pareto interval mark
   search and Label Search's affected-seed pass call them (falling back to
   their scalar loops on short rows, where the numpy call overhead loses).
+* :class:`LabelSearchRounds` runs the batched Label Search engine's two
+  passes for *all label indexes of a coalesced batch at once*, as
+  level-synchronous rounds over flat entry positions of the label store and
+  a CSR mirror of the adjacency (:class:`AdjacencyMirror`, kept current from
+  the graph's weight log).
 
 numpy is an *optional* dependency (install the ``repro[fast]`` extra): every
 entry point has a pure-Python fallback selected at import time, and the
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.utils.errors import ConfigError
@@ -363,15 +369,30 @@ def seed_affected_rows(
         or not isinstance(label_b, _ROW_TYPES)
     ):
         return None
-    da = _as_row_array(label_a)[:prefix]
-    db = _as_row_array(label_b)[:prefix]
+    push_b, push_a = _through_edge(
+        _as_row_array(label_a)[:prefix], _as_row_array(label_b)[:prefix], w_old
+    )
+    return _np.nonzero(push_b)[0], _np.nonzero(push_a)[0]
+
+
+def _through_edge(da: Any, db: Any, w_old: Any) -> tuple[Any, Any]:
+    """The Algorithm 2 seed test on aligned entry arrays of both endpoints.
+
+    ``push_b[k]`` says the old shortest path behind ``db[k]`` runs through
+    the updated edge (``da[k] + w_old`` realises it up to
+    :data:`MARK_SLACK`), ``push_a[k]`` the converse; an entry never seeds
+    both sides and ``inf`` entries seed nothing.
+    """
     with _np.errstate(invalid="ignore"):
         finite = _np.isfinite(da) & _np.isfinite(db)
-        slack_b = MARK_SLACK * _np.maximum(1.0, db)
-        slack_a = MARK_SLACK * _np.maximum(1.0, da)
-        push_b = finite & (_np.abs((da + w_old) - db) <= slack_b)
-        push_a = finite & ~push_b & (_np.abs((db + w_old) - da) <= slack_a)
-    return _np.nonzero(push_b)[0], _np.nonzero(push_a)[0]
+        push_b = finite & _realises(da + w_old, db)
+        push_a = finite & ~push_b & _realises(db + w_old, da)
+    return push_b, push_a
+
+
+def _realises(candidate: Any, entry: Any) -> Any:
+    """:func:`on_old_shortest_path` over arrays (callers mask ``inf`` entries)."""
+    return _np.abs(candidate - entry) <= MARK_SLACK * _np.maximum(1.0, entry)
 
 
 def interval_hit_levels(
@@ -393,8 +414,7 @@ def interval_hit_levels(
     root = _as_row_array(root_row)[lo : hi + 1]
     row = _as_row_array(label_row)[lo : hi + 1]
     with _np.errstate(invalid="ignore"):
-        mask = _np.isfinite(root) & _np.isfinite(row)
-        mask &= _np.abs((d + root) - row) <= MARK_SLACK * _np.maximum(1.0, row)
+        mask = _np.isfinite(root) & _np.isfinite(row) & _realises(d + root, row)
     return [int(i) + lo for i in _np.nonzero(mask)[0]]
 
 
@@ -438,20 +458,351 @@ def adjacency_csr(graph: Any) -> tuple[Any, Any, Any] | None:
     weights.  Used by the parallel builder's vectorised per-root adjacency
     scans -- which only engage when some row spans at least
     :data:`VECTOR_MIN_SPAN` neighbours, so bounded-degree road networks stay
-    on the scalar search where the numpy call overhead would lose.  Returns
-    ``None`` without numpy.
+    on the scalar search where the numpy call overhead would lose -- and,
+    through :class:`AdjacencyMirror`, by the batched Label Search rounds.
+    Built with two ``numpy.fromiter`` passes (row lengths, then the
+    flattened ``(neighbour, weight)`` pairs).  Returns ``None`` without
+    numpy.
     """
     if not HAS_NUMPY:
         return None
     adjacency = graph.adjacency()
     indptr = _np.zeros(len(adjacency) + 1, dtype=_np.int64)
-    for v, row in enumerate(adjacency):
-        indptr[v + 1] = indptr[v] + len(row)
-    neighbors = _np.empty(int(indptr[-1]), dtype=_np.int64)
-    weights = _np.empty(int(indptr[-1]), dtype=_np.float64)
-    for v, row in enumerate(adjacency):
-        base = int(indptr[v])
-        for k, (nbr, weight) in enumerate(row):
-            neighbors[base + k] = nbr
-            weights[base + k] = weight
-    return indptr, neighbors, weights
+    _np.cumsum(
+        _np.fromiter(map(len, adjacency), dtype=_np.int64, count=len(adjacency)),
+        out=indptr[1:],
+    )
+    arcs = _np.fromiter(
+        chain.from_iterable(adjacency),
+        dtype=[("neighbor", _np.int64), ("weight", _np.float64)],
+        count=int(indptr[-1]),
+    )
+    return indptr, _np.ascontiguousarray(arcs["neighbor"]), _np.ascontiguousarray(arcs["weight"])
+
+
+class AdjacencyMirror:
+    """One CSR mirror of a graph's adjacency, kept current by its weight log.
+
+    :meth:`refresh` returns ``(indptr, neighbors, weights)`` reflecting the
+    graph *now*: the arrays are built once per topology
+    (``graph.structure_version``) and afterwards only the weights written
+    since the previous refresh are patched in, read from
+    ``graph.weight_changes_since(cursor)`` -- so every writer is seen
+    (batch engines, per-update ``apply_update`` calls, ``inf`` closures,
+    rebuild fallbacks) without any of them knowing the mirror exists.  A
+    trimmed log (``None``) or an added edge forces a full rebuild.
+    """
+
+    def __init__(self, graph: Any):
+        self.graph = graph
+        self._csr: tuple[Any, Any, Any] | None = None
+        self._structure = -1
+        self._cursor = 0
+        #: Arc ids sorted by ``source * n + target`` and the sorted keys:
+        #: the lookup that turns a logged ``(u, v)`` into its two arcs.
+        self._arc_lookup: tuple[Any, Any] | None = None
+
+    def refresh(self) -> tuple[Any, Any, Any]:
+        graph = self.graph
+        changes = None
+        if self._csr is not None and self._structure == graph.structure_version:
+            changes = graph.weight_changes_since(self._cursor)
+        if changes is None:
+            self._structure = graph.structure_version
+            self._csr = adjacency_csr(graph)
+            self._arc_lookup = None
+        elif changes:
+            self._patch(changes)
+        self._cursor = graph.weight_log_position()
+        assert self._csr is not None
+        return self._csr
+
+    def _patch(self, changes: Sequence[tuple[int, int, float]]) -> None:
+        assert self._csr is not None
+        indptr, neighbors, weights = self._csr
+        n = len(indptr) - 1
+        if self._arc_lookup is None:
+            sources = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
+            keys = sources * n + neighbors
+            order = _np.argsort(keys)
+            self._arc_lookup = (order, keys[order])
+        order, sorted_keys = self._arc_lookup
+        # The log is oldest-first and may repeat an edge; the dict keeps each
+        # edge's last write (repeated indexes in one fancy assignment have
+        # no guaranteed winner).
+        latest = {(u, v): w for u, v, w in changes}
+        ends = _np.array(list(latest), dtype=_np.int64).reshape(len(latest), 2)
+        value = _np.fromiter(latest.values(), dtype=_np.float64, count=len(latest))
+        for a, b in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
+            weights[order[_np.searchsorted(sorted_keys, a * n + b)]] = value
+
+
+# --------------------------------------------------------------------------- #
+# Frontier-synchronous Label Search (the batched engine's vector kernels)
+# --------------------------------------------------------------------------- #
+
+#: Frontier entries per chunk of a Label Search round.  A chunk's
+#: temporaries are about a dozen arrays of ``chunk * degree`` items, so 4096
+#: entries on a road network keep them within a few MB whatever the batch
+#: affects -- which is what holds a long-lived server's peak RSS in place
+#: (16384 measured +16% on the 10k serving workload, 4096 under +3%).
+_FRONTIER_CHUNK_ENTRIES = 4096
+
+
+def _runs(first: Any, lengths: Any) -> tuple[Any, Any]:
+    """Concatenated index runs ``first[k] .. first[k] + lengths[k] - 1``.
+
+    Returns the flat int64 index array and the position at which each run
+    begins inside it (the ``reduceat`` boundaries of the runs).
+    """
+    begins = _np.cumsum(lengths) - lengths
+    flat = _np.arange(int(lengths.sum()), dtype=_np.int64)
+    flat += _np.repeat(first - begins, lengths)
+    return flat, begins
+
+
+class LabelSearchRounds:
+    """Algorithms 1-2 for a whole coalesced batch, one frontier at a time.
+
+    A label entry ``L(v)[i]`` is addressed by its flat position
+    ``p = offsets[v] + i`` in the CSR label store, which makes every label
+    index of a batch one search: searches under different ancestors never
+    share a position, so a frontier is just an array of ``(vertex,
+    position)`` pairs and a round is a dozen array operations over the arcs
+    leaving it (gathered from an :class:`AdjacencyMirror`), in chunks of
+    :data:`_FRONTIER_CHUNK_ENTRIES`.  An arc ``v -> u`` carries index ``i``
+    only while ``tau(u) > i`` -- ``u`` is then a proper descendant of the
+    ancestor and ``offsets[u] + i`` exists -- exactly the restriction of the
+    scalar kernels in :mod:`repro.core.label_search`.
+
+    The scalar kernels settle entries in distance order on a heap; the
+    rounds here are label-correcting instead, and reach the same labels bit
+    for bit: both compute, per entry, the minimum over walks of the
+    left-to-right float64 sum along the walk, and float addition of a
+    non-negative weight is monotone, so that minimum is the unique fixed
+    point of ``L(v)[i] = min(L(v)[i], min_u fl(L(u)[i] + w(u, v)))``
+    whatever order the relaxations run in.
+
+    ``rounds`` and ``enqueued`` count the frontiers processed and the
+    entries placed on them.
+    """
+
+    def __init__(
+        self, labels: "STLLabels", hierarchy: "StableTreeHierarchy", mirror: AdjacencyMirror
+    ):
+        self.entries, self.offsets = label_arrays(labels)
+        arrays = hierarchy_arrays(hierarchy)
+        self.tau = (
+            arrays["tau"] if arrays is not None else _np.asarray(hierarchy.tau, dtype=_np.int64)
+        )
+        self.mirror = mirror
+        self.rounds = 0
+        self.enqueued = 0
+
+    def _sync(self) -> None:
+        """Bring the adjacency arrays up to the graph's current weights."""
+        self.indptr, self.neighbors, self.weights = self.mirror.refresh()
+
+    # -- shared pieces ------------------------------------------------------ #
+
+    def _edge_rows(self, a: Sequence[int], b: Sequence[int], w: Sequence[float]) -> Any:
+        """Both endpoint rows of each edge, aligned over their common prefix.
+
+        ``tau(a) < tau(b)``, so the prefix is ``a``'s whole row.  Yields, for
+        slices of the edges whose prefixes total about one chunk,
+        ``(vertices_a, positions_a, vertices_b, positions_b, weights)``
+        with one item per prefix entry.
+        """
+        a = _np.asarray(a, dtype=_np.int64)
+        b = _np.asarray(b, dtype=_np.int64)
+        w = _np.asarray(w, dtype=_np.float64)
+        lengths = self.tau[a] + 1
+        step = max(1, _FRONTIER_CHUNK_ENTRIES // int(lengths.max()))
+        for lo in range(0, len(a), step):
+            part = slice(lo, lo + step)
+            n = lengths[part]
+            pa, _ = _runs(self.offsets[a[part]], n)
+            pb = pa + _np.repeat(self.offsets[b[part]] - self.offsets[a[part]], n)
+            yield _np.repeat(a[part], n), pa, _np.repeat(b[part], n), pb, _np.repeat(w[part], n)
+
+    def _candidates(self, vertices: Any, positions: Any) -> tuple[Any, Any, Any]:
+        """Relax every arc leaving a chunk of frontier entries.
+
+        Returns, per arc that carries its entry's label index, the target
+        vertex, the target entry's position and the candidate distance
+        ``L(v)[i] + w(v, u)``.
+        """
+        index = positions - self.offsets[vertices]
+        first = self.indptr[vertices]
+        degree = self.indptr[vertices + 1] - first
+        arcs, _ = _runs(first, degree)
+        targets = self.neighbors[arcs]
+        index = _np.repeat(index, degree)
+        carries = self.tau[targets] > index
+        arcs = arcs[carries]
+        targets = targets[carries]
+        candidates = _np.repeat(self.entries[positions], degree)[carries] + self.weights[arcs]
+        return targets, self.offsets[targets] + index[carries], candidates
+
+    def _land(self, vertices: Any, positions: Any, candidates: Any) -> tuple[Any, Any]:
+        """Write the minimum candidate per position; returns the distinct targets.
+
+        Every candidate must already improve on its entry.
+        """
+        order = _np.argsort(positions)
+        positions = positions[order]
+        head = _np.ones(len(positions), dtype=bool)
+        head[1:] = positions[1:] != positions[:-1]
+        starts = _np.flatnonzero(head)
+        if len(starts):
+            self.entries[positions[starts]] = _np.minimum.reduceat(candidates[order], starts)
+        return vertices[order[starts]], positions[starts]
+
+    @staticmethod
+    def _chunks(size: int) -> list[slice]:
+        """Slices cutting a frontier of ``size`` entries into chunks."""
+        step = _FRONTIER_CHUNK_ENTRIES
+        return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+    # -- increases (Algorithm 2) -------------------------------------------- #
+
+    def mark_increases(
+        self, a: Sequence[int], b: Sequence[int], w_old: Sequence[float]
+    ) -> tuple[Any, int]:
+        """Mark every entry whose old shortest path uses an increased edge.
+
+        Runs on the **old** weights and only reads the labels.  ``(a, b)``
+        are the edges oriented ``tau(a) < tau(b)``.  Seeds with the whole-row
+        through-the-edge test of :func:`seed_affected_rows`, then grows the
+        marked set breadth-first under the same tolerance predicate: an
+        unmarked finite entry is marked when ``L(u)[i] + w(u, v)`` of an
+        already-marked neighbour realises it.  A true affected entry has a
+        marked predecessor on its old shortest path whose entry plus the arc
+        weight equals it up to re-association, so nothing affected is missed;
+        over-marking only costs repair work.  Returns the boolean mask over
+        entry positions and the number of distinct label indexes seeded.
+        """
+        self._sync()
+        marked = _np.zeros(len(self.entries), dtype=bool)
+        found_v: list[Any] = []
+        found_p: list[Any] = []
+        for va, pa, vb, pb, w in self._edge_rows(a, b, w_old):
+            push_b, push_a = _through_edge(self.entries[pa], self.entries[pb], w)
+            found_v += [vb[push_b], va[push_a]]
+            found_p += [pb[push_b], pa[push_a]]
+        positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
+        vertices = _np.concatenate(found_v)[first]
+        marked[positions] = True
+        seeded_indexes = len(_np.unique(positions - self.offsets[vertices]))
+
+        while len(positions):
+            self.rounds += 1
+            self.enqueued += len(positions)
+            found_v, found_p = [], []
+            for part in self._chunks(len(positions)):
+                targets, reached, candidates = self._candidates(vertices[part], positions[part])
+                current = self.entries[reached]
+                with _np.errstate(invalid="ignore"):
+                    hit = ~marked[reached] & _np.isfinite(current) & _realises(candidates, current)
+                reached, first = _np.unique(reached[hit], return_index=True)
+                # Marking per chunk keeps later chunks (and rounds) from
+                # finding the same entry again.
+                marked[reached] = True
+                found_v.append(targets[hit][first])
+                found_p.append(reached)
+            vertices = _np.concatenate(found_v)
+            positions = _np.concatenate(found_p)
+        return marked, seeded_indexes
+
+    def repair_marked(self, marked: Any) -> int:
+        """Recompute every marked entry (Function Repair; Lemma 5.5).
+
+        Requires the **new** weights in the graph.  First bounds each marked
+        entry from its unmarked neighbours -- one gather and a segment
+        minimum per chunk; a neighbour with ``tau == i`` is the ancestor
+        itself, whose entry is 0 -- then relaxes outward from the marked
+        entries to the fixed point.  Returns the number of marked entries,
+        all of which were rewritten.
+        """
+        self._sync()
+        affected = _np.flatnonzero(marked)
+        owners = _np.searchsorted(self.offsets, affected, side="right") - 1
+        for part in self._chunks(len(affected)):
+            positions = affected[part]
+            vertices = owners[part]
+            first = self.indptr[vertices]
+            degree = self.indptr[vertices + 1] - first
+            # A marked vertex was reached over an edge, so no run is empty.
+            arcs, begins = _runs(first, degree)
+            sources = self.neighbors[arcs]
+            index = _np.repeat(positions - self.offsets[vertices], degree)
+            usable = self.tau[sources] >= index
+            read = _np.where(usable, self.offsets[sources] + index, 0)
+            usable &= ~marked[read]
+            bounds = _np.where(usable, self.entries[read] + self.weights[arcs], math.inf)
+            self.entries[positions] = _np.minimum.reduceat(bounds, begins)
+        reachable = _np.isfinite(self.entries[affected])
+        self.relax(owners[reachable], affected[reachable])
+        return len(affected)
+
+    # -- decreases (Algorithm 1) -------------------------------------------- #
+
+    def decrease(
+        self, a: Sequence[int], b: Sequence[int], w_new: Sequence[float]
+    ) -> tuple[int, int]:
+        """Repair the labels after a group of weight decreases.
+
+        ``(a, b)`` are the edges oriented ``tau(a) < tau(b)`` and the new
+        weights must already be in the graph.  Writes the entries a decreased
+        edge improves directly -- the first frontier -- and relaxes outward
+        from them.  Returns the number of distinct label indexes seeded and
+        of distinct entries rewritten.
+        """
+        self._sync()
+        found_v: list[Any] = []
+        found_p: list[Any] = []
+        found_d: list[Any] = []
+        for va, pa, vb, pb, w in self._edge_rows(a, b, w_new):
+            via_a = self.entries[pa] + w
+            via_b = self.entries[pb] + w
+            push_b = via_a < self.entries[pb]
+            push_a = via_b < self.entries[pa]
+            found_v += [vb[push_b], va[push_a]]
+            found_p += [pb[push_b], pa[push_a]]
+            found_d += [via_a[push_b], via_b[push_a]]
+        vertices, positions = self._land(
+            _np.concatenate(found_v), _np.concatenate(found_p), _np.concatenate(found_d)
+        )
+        seeded_indexes = len(_np.unique(positions - self.offsets[vertices]))
+        changed = _np.zeros(len(self.entries), dtype=bool)
+        self.relax(vertices, positions, changed)
+        return seeded_indexes, int(_np.count_nonzero(changed))
+
+    def relax(self, vertices: Any, positions: Any, changed: Any = None) -> None:
+        """Relax outward from a frontier until no entry improves.
+
+        Per round: gather the candidates of the frontier's arcs, keep those
+        that improve their target entry, write the minimum per target; the
+        improved targets are the next frontier.  ``changed``, a boolean mask
+        over entry positions, collects every entry written.
+        """
+        while len(positions):
+            self.rounds += 1
+            self.enqueued += len(positions)
+            if changed is not None:
+                changed[positions] = True
+            found_v: list[Any] = []
+            found_p: list[Any] = []
+            for part in self._chunks(len(positions)):
+                targets, reached, candidates = self._candidates(vertices[part], positions[part])
+                better = candidates < self.entries[reached]
+                improved_v, improved_p = self._land(
+                    targets[better], reached[better], candidates[better]
+                )
+                found_v.append(improved_v)
+                found_p.append(improved_p)
+            vertices, positions = found_v[0], found_p[0]
+            if len(found_p) > 1:
+                # Two chunks may both have improved one entry.
+                positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
+                vertices = _np.concatenate(found_v)[first]

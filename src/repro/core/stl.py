@@ -161,7 +161,15 @@ class StableTreeLabelling:
             self._decrease = LabelSearchDecrease(self.graph, self.hierarchy, self.labels)
             self._increase = LabelSearchIncrease(self.graph, self.hierarchy, self.labels)
         self._batch_engine = BatchedParetoEngine(self.graph, self.hierarchy, self.labels)
-        self._ls_batch_engine = BatchedLabelSearchEngine(self.graph, self.hierarchy, self.labels)
+        # The adjacency mirror of the vector kernels follows the graph, not
+        # the labels, so it survives mode switches and label adoption.
+        previous = getattr(self, "_ls_batch_engine", None)
+        self._ls_batch_engine = BatchedLabelSearchEngine(
+            self.graph,
+            self.hierarchy,
+            self.labels,
+            mirror=previous.mirror if previous and previous.graph is self.graph else None,
+        )
         # The shard planner's regions are topology-only, so switching
         # maintenance modes keeps the (lazily computed) plan regions; the
         # bisection is only paid on the first sharded batch.  The process
@@ -339,10 +347,8 @@ class StableTreeLabelling:
         * **Net-kind processing** -- net increases run before net decreases
           (disjoint edges, so the order only fixes which pass pays for which
           entry).  The :class:`BatchPolicy` crossover picks the processing
-          strategy -- the per-update loop for tiny batches, a serial batched
-          engine for moderate ones, and a worker-pool shard backend for
-          large, well-spread ones (``stats.extra["sharded"]`` records the
-          choice).
+          strategy -- the per-update loop for tiny batches, the serial
+          batched Label Search engine for everything larger.
         * **Rebuild crossover** -- when the net batch exceeds
           ``policy.rebuild_fraction`` of the graph's edges (and
           ``policy.rebuild_min_updates``), maintaining is slower than
@@ -350,27 +356,32 @@ class StableTreeLabelling:
           from scratch in place (``stats.extra["rebuild_fallback"]`` records
           the fallback).  ``policy`` defaults to :attr:`batch_policy`.
 
-        Backend, engine family and policy come from ``config`` (a per-call
-        :class:`STLConfig` override, defaulting to the index's own config):
+        Backend, engine family, kernel and policy come from ``config`` (a
+        per-call :class:`STLConfig` override, defaulting to the index's own
+        config):
 
         * ``config.backend`` selects the shard backend: ``"thread"`` or
           ``"process"`` force that worker-pool engine (bypassing the rebuild
           crossover -- an explicit request to exercise the parallel path, as
-          the benchmarks do), ``"serial"`` forbids sharding, and ``None``
-          (default) lets the policy's batch-size, shard-balance and
-          ``process_min_updates`` thresholds pick between the four
-          strategies.  Any other value raises
+          the benchmarks do; ``stats.extra["sharded"]`` records it),
+          ``"serial"`` forbids sharding, and ``None`` (default) defers to
+          the policy, which shards only once ``parallel_min_updates`` is
+          set.  Any other value raises
           :class:`repro.utils.errors.ConfigError` naming the allowed set.
         * ``config.engine`` selects the batch engine family independently of
           the backend: ``"pareto"`` (the update-centric shared phases) or
-          ``"label_search"`` (the ancestor-centric per-index queues of
-          :mod:`repro.core.batch_label_search`).  ``None`` defers to the
-          index's maintenance mode when it is ``label_search``, else to
-          :meth:`BatchPolicy.engine_for` -- the engine half of the joint
-          engine x backend crossover.  Every engine runs on every backend
-          and all strategies produce entry-wise identical labels, so both
-          choices are purely performance matters; ``stats.extra
-          ["label_search_engine"]`` records a Label Search batch.
+          ``"label_search"`` (the ancestor-centric searches of
+          :mod:`repro.core.batch_label_search`).  ``None`` means Label
+          Search (:meth:`BatchPolicy.engine_for`).  Every engine runs on
+          every backend and all strategies produce entry-wise identical
+          labels, so both choices are purely performance matters;
+          ``stats.extra["label_search_engine"]`` records a Label Search
+          batch.
+        * ``config.kernel`` pins the serial Label Search engine to its
+          ``"scalar"`` heaps or its ``"vector"`` frontier rounds (numpy);
+          ``None`` takes vector when numpy is installed.  Labels are
+          bit-identical either way; ``stats.extra["vector_kernel"]`` and
+          ``["rounds"]`` record a vector batch.
 
         The positional ``policy=`` / ``parallel=`` / ``engine=`` arguments
         are the pre-:class:`STLConfig` spellings of the same three choices
@@ -423,6 +434,7 @@ class StableTreeLabelling:
                 forced=False,
                 backend=policy.backend_for(effective),
                 engine=used_engine,
+                kernel=cfg.kernel,
             )
         elif policy.should_loop(effective) and (
             chosen is None or chosen == self._maintenance_mode
@@ -435,18 +447,22 @@ class StableTreeLabelling:
                 stats.merge(self.apply_update(update))
             used_engine = self._maintenance_mode
         else:
-            stats = self._serial_engine(used_engine).apply(net.updates)
+            stats = self._apply_serial(used_engine, net, cfg.kernel)
         stats.updates_processed += total - len(net)
         stats.extra["net_updates"] = len(net)
         if used_engine == "label_search":
             stats.extra["label_search_engine"] = 1
         return stats
 
-    def _serial_engine(
-        self, engine: str
-    ) -> BatchedParetoEngine | BatchedLabelSearchEngine:
-        """The serial batched engine of the given family."""
-        return self._ls_batch_engine if engine == "label_search" else self._batch_engine
+    def _apply_serial(self, engine: str, net: UpdateBatch, kernel: str | None) -> MaintenanceStats:
+        """Run ``net`` on the serial batched engine of the given family.
+
+        ``kernel`` pins the Label Search engine's implementation
+        (``STLConfig.kernel``); the Pareto batch engine has only one.
+        """
+        if engine == "label_search":
+            return self._ls_batch_engine.apply(net.updates, kernel=kernel)
+        return self._batch_engine.apply(net.updates)
 
     def _apply_batch_sharded(
         self,
@@ -455,6 +471,7 @@ class StableTreeLabelling:
         forced: bool,
         backend: str = "thread",
         engine: str = "pareto",
+        kernel: str | None = None,
     ) -> MaintenanceStats:
         """Plan ``net`` into shards and run a worker-pool engine.
 
@@ -469,7 +486,7 @@ class StableTreeLabelling:
         shard_engine = self._shard_backend(backend)
         plan = shard_engine.planner.plan(net)
         if not forced and not plan.worth_running(policy):
-            stats = self._serial_engine(engine).apply(net.updates)
+            stats = self._apply_serial(engine, net, kernel)
             stats.extra["sharded"] = 0
             return stats
         stats = shard_engine.apply(

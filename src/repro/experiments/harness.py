@@ -55,7 +55,6 @@ class ExperimentConfig:
     batch_parallel_min_updates: int | None = 192
     batch_parallel_min_balance: float = 0.5
     batch_process_min_updates: int | None = None
-    batch_label_search_max_updates: int | None = None
     batch_max_workers: int | None = None
 
     def hierarchy_options(self) -> HierarchyOptions:
@@ -63,12 +62,11 @@ class ExperimentConfig:
         return HierarchyOptions(beta=self.beta, leaf_size=self.leaf_size)
 
     def batch_policy(self) -> BatchPolicy:
-        """Batch-processing policy (four-way + rebuild + engine crossover).
+        """Batch-processing policy (rebuild crossover + sharding thresholds).
 
-        ``batch_label_search_max_updates`` defaults to ``None`` -- experiment
-        series are engine-pinned (each series names its engine explicitly),
-        so the drivers never want the engine crossover rerouting a series
-        behind its label.
+        Experiment series are engine-pinned: each names its engine in the
+        ``STLConfig`` it runs under, so a series that wants the Pareto batch
+        engine says ``engine="pareto"``.
         """
         return BatchPolicy(
             rebuild_min_updates=self.batch_rebuild_min_updates,
@@ -76,7 +74,6 @@ class ExperimentConfig:
             parallel_min_updates=self.batch_parallel_min_updates,
             parallel_min_balance=self.batch_parallel_min_balance,
             process_min_updates=self.batch_process_min_updates,
-            label_search_max_updates=self.batch_label_search_max_updates,
             max_workers=self.batch_max_workers,
         )
 

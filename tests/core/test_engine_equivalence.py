@@ -16,6 +16,12 @@ Every scenario asserts against :meth:`repro.core.labelling.STLLabels
 .differences` with labels rebuilt from scratch on the final weights -- the
 strongest oracle available, independent of any maintenance code path.
 
+The ``label_search-serial`` cell -- the one the default config routes every
+batch to -- has a third dimension, its kernel: the scalar heaps and the
+vector frontier rounds each run the whole matrix, and
+:class:`TestVectorKernelBitIdentity` additionally holds the two to
+*bit-identical* label buffers after every batch of every scenario.
+
 CI runs this file as its own matrix job with a hard timeout and
 ``-p no:cacheprovider`` (it spawns real worker processes), mirroring the
 ``test_parallel.py`` treatment; the tier-1 step skips it for the same
@@ -25,6 +31,7 @@ reason.
 import pytest
 
 from repro.core.batch import BatchPolicy
+from repro.core.kernels import HAS_NUMPY
 from repro.core.labelling import build_labels
 from repro.core.shard import ShardPlanner
 from repro.core.stl import StableTreeLabelling
@@ -32,21 +39,36 @@ from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.workloads.updates import mixed_update_stream
 from repro.core.config import STLConfig
-from tests.conftest import random_mixed_batch
+from tests.conftest import paired_indexes, random_mixed_batch
 
 ENGINES = ("pareto", "label_search")
 BACKENDS = ("serial", "thread", "process")
+
+needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy (repro[fast])")
+
+#: The matrix cells; ``label_search-serial`` is split by kernel.
+CELLS = [
+    pytest.param((engine, backend, None), id=f"{engine}-{backend}")
+    for engine in ENGINES
+    for backend in BACKENDS
+    if (engine, backend) != ("label_search", "serial")
+] + [
+    pytest.param(("label_search", "serial", "scalar"), id="label_search-serial-scalar"),
+    pytest.param(
+        ("label_search", "serial", "vector"), id="label_search-serial-vector", marks=needs_numpy
+    ),
+]
 
 #: More workers than CI runners have cores, so the multi-worker ownership
 #: merge is exercised even on small boxes (same constant as test_parallel).
 WORKERS = 4
 
 
-@pytest.fixture(params=[f"{e}-{b}" for e in ENGINES for b in BACKENDS])
-def engine_backend(request):
-    """One (engine, backend) cell of the equivalence matrix."""
-    engine, backend = request.param.split("-")
-    return engine, backend
+@pytest.fixture(params=CELLS)
+def cell(request) -> STLConfig:
+    """One cell of the equivalence matrix, as the config that pins it."""
+    engine, backend, kernel = request.param
+    return STLConfig(engine=engine, backend=backend, kernel=kernel)
 
 
 @pytest.fixture
@@ -70,47 +92,66 @@ def assert_matches_rebuild(index: StableTreeLabelling) -> None:
     assert diffs == [], f"{len(diffs)} label entries diverged: {diffs[:5]}"
 
 
+# The three workload shapes, as generators over the *live* graph: each batch
+# is drawn from the weights the previous one left behind.
+
+
+def figure10_batches(graph):
+    """The benchmark workload: the increase half, then the restoring half."""
+    stream = mixed_update_stream(graph, 80, factor=2.0, seed=21)
+    yield stream.increases()
+    yield stream.decreases()
+
+
+def mixed_round_batches(graph, seed=0):
+    """Rounds of mixed batches with repeated edges."""
+    for round_ in range(3):
+        yield random_mixed_batch(graph, 60, seed=seed * 10 + round_)
+
+
+def separator_crossing_batch(graph):
+    """One batch made only of separator-touching edges."""
+    _, separator = ShardPlanner(graph).regions()
+    sep = set(separator)
+    batch = UpdateBatch()
+    for u, v, w in graph.edges():
+        if u in sep or v in sep:
+            batch.append(EdgeUpdate(u, v, w, round(w * 1.7, 3)))
+    assert len(batch) > 0, "separator touches no edges; scenario is vacuous"
+    yield batch
+
+
+SCENARIOS = [figure10_batches, mixed_round_batches, separator_crossing_batch]
+
+
 class TestEngineBackendMatrix:
-    def test_figure10_workload_matches_rebuild(self, stl, engine_backend):
+    def test_figure10_workload_matches_rebuild(self, stl, cell):
         """The benchmark workload: the increase half, then the restoring
         decrease half, through one matrix cell."""
-        engine, backend = engine_backend
-        stream = mixed_update_stream(stl.graph, 80, factor=2.0, seed=21)
-        stl.apply_batch(stream.increases(), config=STLConfig(backend=backend, engine=engine))
-        assert_matches_rebuild(stl)
-        stl.apply_batch(stream.decreases(), config=STLConfig(backend=backend, engine=engine))
-        assert_matches_rebuild(stl)
+        for batch in figure10_batches(stl.graph):
+            stl.apply_batch(batch, config=cell)
+            assert_matches_rebuild(stl)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_multi_round_mixed_batches_match_rebuild(self, stl, engine_backend, seed):
+    def test_multi_round_mixed_batches_match_rebuild(self, stl, cell, seed):
         """Rounds of mixed batches with repeated edges: state carried across
         rounds must stay exact, not just each round in isolation."""
-        engine, backend = engine_backend
-        for round_ in range(3):
-            batch = random_mixed_batch(stl.graph, 60, seed=seed * 10 + round_)
-            stl.apply_batch(batch, config=STLConfig(backend=backend, engine=engine))
+        for batch in mixed_round_batches(stl.graph, seed):
+            stl.apply_batch(batch, config=cell)
         assert_matches_rebuild(stl)
 
-    def test_fully_separator_crossing_batch_matches_rebuild(self, stl, engine_backend):
+    def test_fully_separator_crossing_batch_matches_rebuild(self, stl, cell):
         """A batch made only of separator-touching edges: the plan has no
         shardable updates, so every backend must degrade to its serial
         engine -- the degenerate corner of the matrix."""
-        engine, backend = engine_backend
-        _, separator = ShardPlanner(stl.graph).regions()
-        sep = set(separator)
-        batch = UpdateBatch()
-        for u, v, w in stl.graph.edges():
-            if u in sep or v in sep:
-                batch.append(EdgeUpdate(u, v, w, round(w * 1.7, 3)))
-        assert len(batch) > 0, "separator touches no edges; scenario is vacuous"
-        stats = stl.apply_batch(batch, config=STLConfig(backend=backend, engine=engine))
-        assert stats.updates_processed >= len(batch)
+        for batch in separator_crossing_batch(stl.graph):
+            stats = stl.apply_batch(batch, config=cell)
+            assert stats.updates_processed >= len(batch)
         assert_matches_rebuild(stl)
 
-    def test_engines_agree_with_each_other(self, small_grid, engine_backend):
+    def test_engines_agree_with_each_other(self, small_grid, cell):
         """Transitivity check in the other direction: every cell equals the
         serial Pareto engine on the same stream (so any two cells agree)."""
-        engine, backend = engine_backend
         reference = StableTreeLabelling.build(
             small_grid.copy(), HierarchyOptions(leaf_size=8)
         )
@@ -124,7 +165,36 @@ class TestEngineBackendMatrix:
             for round_ in range(2):
                 batch = random_mixed_batch(reference.graph, 50, seed=100 + round_)
                 reference.apply_batch(batch, config=STLConfig(backend=False, engine="pareto"))
-                candidate.apply_batch(batch, config=STLConfig(backend=backend, engine=engine))
+                candidate.apply_batch(batch, config=cell)
             assert candidate.labels.differences(reference.labels) == []
         finally:
             candidate.close()
+
+
+@needs_numpy
+class TestVectorKernelBitIdentity:
+    """``label_search/serial``: the vector rounds against the scalar heaps.
+
+    Equality with a rebuild holds to a tolerance; between the two kernels
+    the bar is the byte content of the label buffer, after every batch.
+    """
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda f: f.__name__)
+    def test_vector_equals_scalar_bit_for_bit(self, small_grid, scenario):
+        scalar, vector = paired_indexes(small_grid)
+        policy = BatchPolicy(rebuild_fraction=None)
+        pinned = {
+            kernel: STLConfig(engine="label_search", backend="serial", kernel=kernel, policy=policy)
+            for kernel in ("scalar", "vector")
+        }
+        for batch in scenario(scalar.graph):
+            reference = scalar.apply_batch(batch, config=pinned["scalar"])
+            stats = vector.apply_batch(batch, config=pinned["vector"])
+            assert "vector_kernel" not in reference.extra
+            assert stats.extra["vector_kernel"] == 1 and stats.extra["rounds"] > 0
+            assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
+            assert_matches_rebuild(vector)
+            # The counters keep their meaning across kernels.
+            assert stats.labels_changed == reference.labels_changed
+            assert stats.vertices_affected == reference.vertices_affected
+            assert stats.ancestors_touched == reference.ancestors_touched

@@ -1,0 +1,296 @@
+"""The vector kernel of batched Label Search and the adjacency mirror under it.
+
+``tests/core/test_engine_equivalence.py`` holds the vector rounds to the
+scalar heaps on the suite's three workload shapes; this file covers what the
+flat-position formulation could get wrong on its own: ``inf`` entries and
+``inf`` weights, labels living in shared memory, rewritten (re-associated)
+entries, deep thin frontiers, frontiers wider than one chunk -- and the CSR
+adjacency mirror, which must see every weight write whoever made it.
+"""
+
+import math
+
+import pytest
+
+from repro.core import kernels
+from repro.core.batch import BatchPolicy
+from repro.core.batch_label_search import BatchedLabelSearchEngine
+from repro.core.config import STLConfig
+from repro.core.labelling import build_labels
+from repro.core.stl import StableTreeLabelling
+from repro.core.structural import StructuralUpdater
+from repro.graph.generators import grid_road_network
+from repro.graph.graph import Graph
+from repro.graph.updates import EdgeUpdate, UpdateBatch
+from repro.hierarchy.builder import HierarchyOptions
+from repro.utils.errors import ConfigError
+from tests.conftest import paired_indexes, random_mixed_batch
+
+needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
+
+NO_REBUILD = BatchPolicy(rebuild_fraction=None)
+SCALAR = STLConfig(engine="label_search", backend="serial", kernel="scalar", policy=NO_REBUILD)
+
+
+def vector_config() -> STLConfig:
+    # Built on demand: naming the vector kernel without numpy is a ConfigError.
+    return SCALAR.replace(kernel="vector")
+
+
+def apply_to_both(scalar, vector, batch):
+    """One batch through both kernels; labels must match byte for byte and
+    equal a from-scratch rebuild.  Returns both stats objects."""
+    reference = scalar.apply_batch(batch, config=SCALAR)
+    stats = vector.apply_batch(batch, config=vector_config())
+    assert stats.extra["vector_kernel"] == 1
+    assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
+    fresh = build_labels(vector.graph, vector.hierarchy)
+    assert vector.labels.differences(fresh) == []
+    return reference, stats
+
+
+def two_component_graph() -> Graph:
+    """Two 5x5 grids with no edge between them: ``inf`` label entries."""
+    left = grid_road_network(5, 5, seed=3)
+    right = grid_road_network(5, 5, seed=4)
+    n = left.num_vertices
+    graph = Graph(2 * n)
+    for u, v, w in left.edges():
+        graph.add_edge(u, v, w)
+    for u, v, w in right.edges():
+        graph.add_edge(n + u, n + v, w)
+    return graph
+
+
+@needs_numpy
+class TestVectorKernelCases:
+    def test_disconnected_graph_keeps_inf_entries(self):
+        graph = two_component_graph()
+        scalar, vector = paired_indexes(graph, leaf_size=4)
+        assert any(math.isinf(x) for x in vector.labels.view), "scenario needs inf entries"
+        for seed in range(3):
+            apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 30, seed=seed))
+
+    def test_closures_and_reopenings_in_one_batch(self, small_grid):
+        """Edges closed (weight ``inf``) next to ordinary updates, then
+        reopened: ``inf`` weights on arcs, ``inf`` entries appearing and
+        disappearing."""
+        scalar, vector = paired_indexes(small_grid)
+        edges = list(small_grid.edges())
+        closing = UpdateBatch(
+            [EdgeUpdate(u, v, w, math.inf) for u, v, w in edges[::5]]
+            + [EdgeUpdate(u, v, w, round(w * 1.5, 2)) for u, v, w in edges[1::5]]
+        )
+        up, _ = apply_to_both(scalar, vector, closing)
+        assert up.labels_changed > 0
+        # Cut the best-connected vertex off entirely: whole rows go to inf.
+        graph = scalar.graph
+        open_edges = {
+            v: [(nbr, w) for nbr, w in graph.neighbors(v) if not math.isinf(w)]
+            for v in graph.vertices()
+        }
+        hub = max(open_edges, key=lambda v: len(open_edges[v]))
+        isolate = UpdateBatch([EdgeUpdate(hub, nbr, w, math.inf) for nbr, w in open_edges[hub]])
+        apply_to_both(scalar, vector, isolate)
+        assert any(math.isinf(x) for x in vector.labels.view)
+        apply_to_both(scalar, vector, isolate.reversed())
+        apply_to_both(scalar, vector, closing.reversed())
+
+    def test_labels_resident_in_shared_memory(self, small_grid):
+        """After a process-backend batch the store lives in a shared segment;
+        the cached array views must follow it there."""
+        scalar, vector = paired_indexes(small_grid)
+        try:
+            warm = random_mixed_batch(small_grid, 40, seed=1)
+            process = STLConfig(
+                backend="process", policy=BatchPolicy(rebuild_fraction=None, max_workers=2)
+            )
+            scalar.apply_batch(warm, config=SCALAR)
+            vector.apply_batch(warm, config=process)
+            assert vector.labels.is_shared
+            for seed in (2, 3):
+                apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=seed))
+            assert vector.labels.is_shared
+        finally:
+            vector.close()
+        assert not vector.labels.is_shared
+        apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=4))
+
+    def test_repeated_batches_stay_exact(self, small_grid):
+        """The tolerance regression (``on_old_shortest_path``) with the vector
+        kernel pinned: from round two on, entries are differently-associated
+        sums written by earlier repairs, and an exact mark would miss them."""
+        scalar, vector = paired_indexes(small_grid)
+        for round_ in range(4):
+            apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=round_))
+
+    def test_deep_chain(self):
+        """A path graph: one entry per frontier, a round per hop."""
+        n = 600
+        graph = Graph.from_edges(n, [(i, i + 1, 1.0 + (i % 7) / 8) for i in range(n - 1)])
+        scalar, vector = paired_indexes(graph, leaf_size=4)
+        rising = UpdateBatch(
+            [EdgeUpdate(i, i + 1, graph.weight(i, i + 1), 9.0) for i in (3, n // 2, n - 5)]
+        )
+        _, stats = apply_to_both(scalar, vector, rising)
+        assert stats.extra["rounds"] > 50
+        apply_to_both(scalar, vector, rising.reversed())
+
+    def test_frontier_spanning_several_chunks(self, medium_grid, monkeypatch):
+        """Chunking must not show: a 5-entry chunk against the default."""
+        whole, chunked = paired_indexes(medium_grid)
+        scalar = StableTreeLabelling(medium_grid.copy(), whole.hierarchy, whole.labels.copy())
+        for seed in range(2):
+            batch = random_mixed_batch(whole.graph, 50, seed=seed)
+            expected = whole.apply_batch(batch, config=vector_config())
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_FRONTIER_CHUNK_ENTRIES", 5)
+                _, stats = apply_to_both(scalar, chunked, batch)
+            assert expected.vertices_affected > 5, "frontiers never outgrew a chunk"
+            assert chunked.labels.view.tobytes() == whole.labels.view.tobytes()
+            for key in ("labels_changed", "vertices_affected", "ancestors_touched"):
+                assert getattr(stats, key) == getattr(expected, key)
+
+    def test_decrease_counts_each_entry_once(self, medium_grid):
+        """A decreased entry may improve in several rounds; ``labels_changed``
+        is the number of *distinct* entries rewritten."""
+        _, vector = paired_indexes(medium_grid)
+        rising = UpdateBatch(
+            [EdgeUpdate(u, v, w, w * 3.0) for u, v, w in list(medium_grid.edges())[::4]]
+        )
+        up = vector.apply_batch(rising, config=vector_config())
+        assert up.labels_changed == up.vertices_affected > 0
+        before = vector.labels.copy()
+        down = vector.apply_batch(rising.reversed(), config=vector_config())
+        rewritten = sum(a != b for a, b in zip(before.view, vector.labels.view))
+        assert down.labels_changed == rewritten
+        assert down.heap_pushes >= rewritten and down.extra["rounds"] > 1
+
+
+class TestKernelSelection:
+    """Selection is by what the interpreter offers; ``STLConfig.kernel`` pins it."""
+
+    def test_default_config_runs_label_search_serial(self, small_grid):
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stats = stl.apply_batch(random_mixed_batch(stl.graph, 12, seed=5))
+        assert stats.extra["label_search_engine"] == 1
+        assert "sharded" not in stats.extra and "process_workers" not in stats.extra
+        assert ("vector_kernel" in stats.extra) == kernels.HAS_NUMPY
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+    def test_without_numpy_the_scalar_kernels_run(self, small_grid, monkeypatch):
+        """What the no-numpy CI leg sees, shown on every leg."""
+        monkeypatch.setattr(kernels, "HAS_NUMPY", False)
+        monkeypatch.setattr(kernels, "DEFAULT_KERNEL", "scalar")
+        with pytest.raises(ConfigError, match="numpy"):
+            STLConfig(kernel="vector")
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stats = stl.apply_batch(random_mixed_batch(stl.graph, 12, seed=5))
+        assert stats.extra["label_search_engine"] == 1
+        assert "vector_kernel" not in stats.extra and "sharded" not in stats.extra
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+    def test_policy_has_no_engine_crossover(self):
+        policy = BatchPolicy()
+        assert not hasattr(policy, "label_search_max_updates")
+        assert policy.parallel_min_updates is None
+        assert {policy.engine_for(n) for n in (1, 384, 385, 10**6)} == {"label_search"}
+        assert not policy.should_shard(10**6)
+        # The sharding legs still work for a caller who sets the threshold.
+        sharding = BatchPolicy(parallel_min_updates=100)
+        assert sharding.should_shard(100) and sharding.backend_for(384) == "process"
+
+
+@needs_numpy
+class TestAdjacencyMirror:
+    """The mirror equals a fresh ``adjacency_csr`` after every kind of write."""
+
+    @staticmethod
+    def assert_current(mirror, graph):
+        fresh = kernels.adjacency_csr(graph)
+        for mine, theirs in zip(mirror.refresh(), fresh):
+            assert mine.tolist() == theirs.tolist()
+
+    def test_csr_matches_adjacency_lists(self, small_city):
+        indptr, neighbors, weights = kernels.adjacency_csr(small_city)
+        for v, row in enumerate(small_city.adjacency()):
+            lo, hi = indptr[v], indptr[v + 1]
+            assert list(zip(neighbors[lo:hi].tolist(), weights[lo:hi].tolist())) == row
+
+    def test_follows_every_writer(self, small_grid):
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stl.batch_policy = NO_REBUILD
+        graph = stl.graph
+        mirror = stl._ls_batch_engine.mirror
+        self.assert_current(mirror, graph)
+
+        # Batches on either kernel, and on the other engine family.
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=1))
+        self.assert_current(mirror, graph)
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=2), config=STLConfig(engine="pareto"))
+        self.assert_current(mirror, graph)
+
+        # Per-update calls between batches, the same edge written twice.
+        u, v, w = next(iter(graph.edges()))
+        stl.increase_edge(u, v, w * 2)
+        stl.decrease_edge(u, v, w / 2)
+        self.assert_current(mirror, graph)
+
+        # An inf closure and a re-opening through the structural layer.
+        structural = StructuralUpdater(stl)
+        structural.delete_edge(u, v)
+        self.assert_current(mirror, graph)
+        structural.insert_edge(u, v, w)
+        self.assert_current(mirror, graph)
+
+        # A rebuild fallback writes the weights without any engine.
+        forced = STLConfig(policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0))
+        stats = stl.apply_batch(random_mixed_batch(graph, 30, seed=3), config=forced)
+        assert stats.extra["rebuild_fallback"] == 1
+        self.assert_current(mirror, graph)
+
+        # ...and the batch after all of that is still exact.
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=4))
+        assert stl.labels.differences(build_labels(graph, stl.hierarchy)) == []
+
+    def test_trimmed_log_and_new_edge_force_a_rebuild(self, small_grid):
+        graph = small_grid.copy()
+        mirror = kernels.AdjacencyMirror(graph)
+        mirror.refresh()
+        u, v, w = next(iter(graph.edges()))
+        for step in range(3 * max(256, 2 * graph.num_edges)):
+            graph.set_weight(u, v, w + step % 5)
+        assert graph.weight_changes_since(0) is None, "the log was never trimmed"
+        self.assert_current(mirror, graph)
+
+        a, b = next(
+            (a, b)
+            for a in graph.vertices()
+            for b in graph.vertices()
+            if a < b and not graph.has_edge(a, b)
+        )
+        graph.add_edge(a, b, 2.5)
+        graph.set_weight(u, v, w)
+        self.assert_current(mirror, graph)
+
+    def test_mirror_survives_label_adoption(self, small_grid):
+        """The serving layer adopts a shadow store before every commit; the
+        mirror follows the graph, so the rebuilt engine keeps it."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stl.batch_policy = NO_REBUILD
+        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=1))
+        mirror = stl._ls_batch_engine.mirror
+        stl.adopt_labels(stl.labels.snapshot_store())
+        assert stl._ls_batch_engine.mirror is mirror
+        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=2))
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+    def test_engine_built_over_a_stale_graph_state(self, small_grid):
+        """An engine created long after the graph started changing."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        for seed in range(3):
+            stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=seed), config=SCALAR)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
+        batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
+        engine.apply(batch.updates, kernel="vector")
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []

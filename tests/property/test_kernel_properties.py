@@ -1,22 +1,29 @@
-"""Property-based tests: the scalar and vector query kernels always agree.
+"""Property-based tests: the scalar and vector kernels always agree.
 
 The contract under test is *exact* entry-wise equality -- both kernels run
 the identical float64 additions and min-reductions, so no tolerance is
-allowed.  Disconnected graphs (``inf`` answers) and ``s == t`` pairs are
+allowed, for query answers and for the label buffer the batched Label Search
+engine leaves behind.  Disconnected graphs (``inf`` answers) and ``s == t`` pairs are
 generated on purpose; the whole module skips itself on the no-numpy CI leg
 (there is only one kernel to compare there).
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.stl import StableTreeLabelling
-from repro.graph.generators import random_connected_graph
-from repro.graph.graph import Graph
-from repro.hierarchy.builder import HierarchyOptions
+from repro.core.batch import BatchPolicy
 from repro.core.config import STLConfig
+from repro.core.labelling import build_labels
+from repro.core.stl import StableTreeLabelling
+from repro.graph.generators import city_road_network, grid_road_network, random_connected_graph
+from repro.graph.graph import Graph
+from repro.graph.updates import EdgeUpdate
+from repro.hierarchy.builder import HierarchyOptions
+from repro.utils.rng import make_rng
 
 pytestmark = pytest.mark.skipif(
     not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])"
@@ -84,9 +91,63 @@ class TestKernelAgreement:
         graph, pairs = case
         stl = StableTreeLabelling.build(graph, HierarchyOptions(leaf_size=4))
         u, v, w = next(iter(graph.edges()))
-        from repro.graph.updates import EdgeUpdate
-
         stl.apply_update(EdgeUpdate(u, v, w, w * 2.0))
         assert stl.batch_query(pairs, config=STLConfig(kernel="scalar")) == stl.batch_query(
             pairs, config=STLConfig(kernel="vector"
         ))
+
+
+# --------------------------------------------------------------------------- #
+# Batched Label Search: the vector frontier rounds against the scalar heaps
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def road_networks_with_batches(draw):
+    """A small road network plus rounds of mixed batches drawn on it.
+
+    Batches repeat edges, mix both kinds and, now and then, close an edge
+    (``inf``) or reopen one -- each round is drawn against the weights the
+    previous round left behind, so chains stay valid.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        rows = draw(st.integers(min_value=3, max_value=9))
+        cols = draw(st.integers(min_value=3, max_value=9))
+        graph = grid_road_network(rows, cols, seed=seed)
+    else:
+        graph = city_road_network(num_cities=2, city_rows=4, city_cols=4, seed=seed)
+    edges = list(graph.edges())
+    current = {(u, v): w for u, v, w in edges}
+    rng = make_rng(seed + 1)
+    rounds = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        batch = []
+        for _ in range(draw(st.integers(min_value=3, max_value=40))):
+            u, v, _ = edges[rng.randrange(len(edges))]
+            old = current[(u, v)]
+            new = math.inf if rng.random() < 0.08 else round(rng.uniform(0.5, 40.0), 1)
+            if new != old:
+                batch.append(EdgeUpdate(u, v, old, new))
+                current[(u, v)] = new
+        rounds.append(batch)
+    return graph, rounds
+
+
+class TestBatchedLabelSearchKernels:
+    @SETTINGS
+    @given(road_networks_with_batches())
+    def test_vector_rounds_equal_scalar_heaps_bit_for_bit(self, case):
+        graph, rounds = case
+        policy = BatchPolicy(rebuild_fraction=None)
+        base = STLConfig(engine="label_search", backend="serial", policy=policy)
+        scalar = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=4))
+        vector = StableTreeLabelling(graph.copy(), scalar.hierarchy, scalar.labels.copy())
+        for batch in rounds:
+            reference = scalar.apply_batch(batch, config=base.replace(kernel="scalar"))
+            stats = vector.apply_batch(batch, config=base.replace(kernel="vector"))
+            assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
+            assert stats.labels_changed == reference.labels_changed
+            assert stats.vertices_affected == reference.vertices_affected
+        rebuilt = build_labels(vector.graph, vector.hierarchy)
+        assert vector.labels.equals(rebuilt), vector.labels.differences(rebuilt)[:5]
