@@ -56,8 +56,7 @@ def _exhibit_file(request):
     """Persist this session's exhibits only under ``--exhibits-out PATH``.
 
     pytest captures the stdout of passing tests, so the flag is how the
-    printed tables reach a file; without it nothing is written (the tracked
-    ``benchmark_reports.txt`` is the last explicitly regenerated copy).
+    printed tables reach a file; without it nothing is written.
     """
     persist_to(request.config.getoption("--exhibits-out"))
     yield

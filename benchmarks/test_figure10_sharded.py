@@ -8,10 +8,9 @@ guarantee (entry-wise identical labels) on the exact workload the paper's
 figure uses.
 
 Under CPython's GIL the pool provides concurrency rather than parallel
-bytecode execution, so the sharded wall-clock is reported as a diagnostic of
-the plan/merge overhead (bounded by the assertion below) rather than as a
-speedup claim; the shard plan quality (balance, residual share) is what the
-three-way :class:`repro.core.batch.BatchPolicy` crossover keys on.
+bytecode execution, so the sharded wall-clock and the shard plan quality
+(balance, residual share) are printed as diagnostics of the plan/merge
+overhead, not asserted.
 """
 
 from benchmarks.conftest import report
@@ -58,10 +57,10 @@ def test_figure10_sharded_vs_serial_1k(bench_config):
     # Both sides pin the Pareto batch engine: this exhibit compares its serial
     # and thread-sharded phases, and an unpinned batch runs Label Search.
     serial_seconds, _ = measure_batched_seconds(
-        serial_stl, halves, parallel=False, engine="pareto"
+        serial_stl, halves, backend="serial", engine="pareto"
     )
     sharded_seconds, _ = measure_batched_seconds(
-        sharded_stl, halves, parallel=True, engine="pareto"
+        sharded_stl, halves, backend="thread", engine="pareto"
     )
 
     plan = sharded_stl._shard_engine.planner.plan(
@@ -83,6 +82,3 @@ def test_figure10_sharded_vs_serial_1k(bench_config):
         assert serial_stl.graph.weight(u, v) == w
         assert sharded_stl.graph.weight(u, v) == w
     assert serial_stl.labels.equals(sharded_stl.labels)
-    # The pool cannot beat the GIL, but the plan/merge overhead must stay
-    # bounded; 2x absorbs loaded-CI jitter without masking a pathology.
-    assert sharded_seconds <= serial_seconds * 2.0

@@ -18,7 +18,8 @@ def test_figure9_report(benchmark, bench_config):
     report(format_figure9(results))
     for series in results:
         assert len(series.query_sets) == 10
-        stl = series.series_us["STL"]
-        # Long-range STL queries scan only the small high-level cuts, so they
-        # are not slower than the short-range buckets by a large factor.
-        assert stl[-1] <= 3.0 * max(stl[0], 1e-9)
+        # The timings are exhibits; the claim behind them is asserted on its
+        # cause.  Long-range STL queries scan only the small high-level cuts:
+        # fewer label entries (common ancestors) per pair than short-range ones.
+        scanned = series.stl_entries_scanned
+        assert scanned[-1] < scanned[0]

@@ -32,10 +32,8 @@ Quickstart::
     stl.decrease_edge(0, 1, new_weight=1.0)
 
 All tunables (shard backend, batch engine, query kernel, batch policy) live
-on the frozen :class:`STLConfig`; the per-call ``parallel=`` / ``engine=`` /
-``kernel=`` kwargs still work but are deprecated (docs/api.md has the
-migration table).  Every error raised by the package derives from
-:class:`repro.utils.errors.STLError`.
+on the frozen :class:`STLConfig`.  Every error raised by the package derives
+from :class:`repro.utils.errors.STLError`.
 """
 
 from repro.graph.graph import Graph

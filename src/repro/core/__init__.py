@@ -10,7 +10,6 @@ from repro.core.shard import (
     ShardPlan,
     ShardPlanner,
     create_backend,
-    normalize_parallel,
 )
 from repro.core.stl import StableTreeLabelling
 from repro.core.label_search import LabelSearchDecrease, LabelSearchIncrease
@@ -29,7 +28,6 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "create_backend",
-    "normalize_parallel",
     "ProcessShardBackend",
     "StableTreeLabelling",
     "LabelSearchDecrease",

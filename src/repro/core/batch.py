@@ -37,7 +37,7 @@ suffix length (the suffix is old-valid) nor undershoots the true new
 distance.  Tests verify both passes entry-wise against from-scratch rebuilds.
 
 :class:`BatchPolicy` additionally decides *which* processing strategy a batch
-deserves.  By default that is a three-way crossover on the net batch size:
+deserves, by a three-way crossover on the net batch size:
 
 * tiny batches run through the historical **per-update loop** -- the batch
   machinery has fixed costs that one or two updates never amortise,
@@ -51,8 +51,7 @@ deserves.  By default that is a three-way crossover on the net batch size:
 The Pareto batch engine above and the sharded worker-pool backends
 (:class:`repro.core.shard.ShardedBatchEngine`,
 :class:`repro.core.parallel.ProcessShardBackend`) run only when a caller
-names them in an :class:`repro.core.config.STLConfig`, or re-enables the
-policy's sharding leg by setting ``parallel_min_updates``.
+names them in an :class:`repro.core.config.STLConfig`.
 
 :meth:`repro.core.stl.StableTreeLabelling.apply_batch` consults the policy
 and dispatches accordingly.
@@ -74,17 +73,17 @@ from repro.hierarchy.tree import StableTreeHierarchy
 from repro.utils.errors import ConfigError, UpdateError
 
 
-#: The engine names ``apply_batch(engine=...)`` accepts (sorted for the
+#: The engine names ``STLConfig(engine=...)`` accepts (sorted for the
 #: error message of :func:`normalize_engine`).
 ENGINE_NAMES = ("label_search", "pareto")
 
 
 def normalize_engine(engine: str | None) -> str | None:
-    """Map an ``apply_batch(engine=...)`` argument to an engine name.
+    """Map an ``STLConfig(engine=...)`` value to an engine name.
 
-    ``None`` means "let :meth:`BatchPolicy.engine_for` (or the index's
-    maintenance mode) decide" and is returned unchanged; the explicit names
-    ``"pareto"`` / ``"label_search"`` select a batch engine directly.
+    ``None`` means "batched Label Search" and is returned unchanged; the
+    explicit names ``"pareto"`` / ``"label_search"`` select a batch engine
+    directly.
     Anything else raises :class:`repro.utils.errors.ConfigError` (a
     :class:`ValueError` subclass) naming the allowed set.
     """
@@ -102,7 +101,7 @@ def normalize_engine(engine: str | None) -> str | None:
 class BatchPolicy:
     """Knobs governing how a batch of updates is processed.
 
-    The default policy is keyed on the *net* (coalesced) batch size alone:
+    The policy is keyed on the *net* (coalesced) batch size alone:
 
     ===========================  =====================================
     net batch size               strategy
@@ -116,15 +115,7 @@ class BatchPolicy:
     ===========================  =====================================
 
     The sharded backends are reached only through an explicit
-    ``STLConfig(backend=...)`` or by setting ``parallel_min_updates``:
-
-    ===========================  =====================================
-    ``>= parallel_min_updates``  thread-sharded worker pool, *if* the shard
-                                 plan keeps at least ``parallel_min_balance``
-                                 of the updates out of the residual shard
-    ``>= process_min_updates``   process-sharded pool with partitioned label
-                                 ownership (same balance gate)
-    ===========================  =====================================
+    ``STLConfig(backend="thread"/"process")``, which bypasses the policy.
 
     Attributes
     ----------
@@ -139,29 +130,6 @@ class BatchPolicy:
         Below this many net updates the batch machinery (precondition scan,
         kind partition, merged phases) costs more than it shares; the batch
         is processed through the plain per-update loop instead.
-    parallel_min_updates:
-        From this many net updates onward the sharded-parallel engine is
-        *considered*: a shard plan is computed and used when it is balanced
-        enough (see ``parallel_min_balance``).  ``None`` (the default) keeps
-        the policy from ever sharding: on the 10k benchmark graph neither
-        pool beat ``label_search/serial`` at any measured batch size
-        (``bench/baseline.json``), so sharding is an explicit
-        ``STLConfig(backend="thread"/"process")`` choice.
-    parallel_min_balance:
-        Minimum fraction of the net updates that must land in per-region
-        shard sub-batches (rather than the serial residual shard) for the
-        sharded engine to be worth its pool/merge overhead.  Not reached
-        under the default ``parallel_min_updates=None``.
-    process_min_updates:
-        From this many net updates onward a batch the policy shards is
-        routed to the process-pool backend (:mod:`repro.core.parallel`)
-        instead of the thread pool; ``None`` keeps such batches on threads.
-        Not reached under the default ``parallel_min_updates=None``.  The
-        value 384 comes from the shipping calibration
-        (:func:`repro.core.calibration.calibrate_shipping`): the resident
-        delta protocol ships 1.9-20 KB in 0.04-0.3 ms per batch, so shipping
-        does not gate the pool; the two serial settlement passes do, and
-        they only amortise with twice the repair work the thread pool needs.
     max_workers:
         Worker-pool size for the sharded engines; ``None`` lets each engine
         size its pool to ``min(#shards, os.cpu_count())``.
@@ -170,9 +138,6 @@ class BatchPolicy:
     rebuild_min_updates: int = 64
     rebuild_fraction: float | None = 0.25
     batched_min_updates: int = 3
-    parallel_min_updates: int | None = None
-    parallel_min_balance: float = 0.5
-    process_min_updates: int | None = 384
     max_workers: int | None = None
 
     def should_rebuild(self, num_net_updates: int, num_edges: int) -> bool:
@@ -186,44 +151,6 @@ class BatchPolicy:
     def should_loop(self, num_net_updates: int) -> bool:
         """Whether the batch is too small for the batch machinery."""
         return num_net_updates < self.batched_min_updates
-
-    def should_shard(self, num_net_updates: int) -> bool:
-        """Whether the batch is large enough to consider the sharded engine."""
-        if self.parallel_min_updates is None:
-            return False
-        return num_net_updates >= self.parallel_min_updates
-
-    def backend_for(self, num_net_updates: int) -> str:
-        """Which sharded backend a batch of this size deserves.
-
-        Only consulted after :meth:`should_shard` (and the plan-balance
-        gate) already said yes: ``"process"`` past ``process_min_updates``,
-        else ``"thread"``.
-        """
-        if self.process_min_updates is not None and num_net_updates >= self.process_min_updates:
-            return "process"
-        return "thread"
-
-    def engine_for(self, num_net_updates: int) -> str:
-        """Which batch engine a batch of this size deserves: Label Search.
-
-        Only consulted when the caller named no engine
-        (``STLConfig(engine=...)``) and the index is not in a Label Search
-        maintenance mode.  Batched Label Search has been ahead of the Pareto
-        batch engine at every measured size, so there is no crossover to
-        key on ``num_net_updates``; the Pareto batch engine runs when a
-        config says ``engine="pareto"``.
-        """
-        return "label_search"
-
-    def accepts_plan(self, populated_shards: int, balance: float) -> bool:
-        """Whether a computed shard plan is balanced enough to run.
-
-        ``populated_shards`` is the number of non-empty per-region
-        sub-batches and ``balance`` the fraction of net updates they hold
-        (the rest goes to the serial residual shard).
-        """
-        return populated_shards >= 2 and balance >= self.parallel_min_balance
 
 
 def validate_coalesced(graph: Graph, updates: Sequence[EdgeUpdate]) -> None:

@@ -1,11 +1,7 @@
 """The one configuration object of the public API.
 
-Eight PRs of growth left :meth:`repro.core.stl.StableTreeLabelling` with a
-pile of accreted per-call knobs -- ``apply_batch(parallel=..., engine=...,
-policy=...)``, ``batch_query(kernel=...)``, ``build(maintenance=...)`` --
-each validated in a different module with a different failure mode.
-:class:`STLConfig` subsumes them into one frozen dataclass with one shared
-validator:
+:class:`STLConfig` holds every per-index choice in one frozen dataclass with
+one shared validator:
 
 ========== =========================================== ====================
 field      selects                                     values
@@ -23,12 +19,11 @@ construction  index build pipeline                     ``None`` / ``"serial"``
                                                        / ``"parallel"``
 ========== =========================================== ====================
 
-``None`` always means "let the measured crossovers decide" -- the same
-meaning the old per-call kwargs gave it.  Validation happens **at
-construction**: a typo'd backend name fails where the config is written,
-not batches later inside ``apply_batch``, and every validation failure is a
-:class:`repro.utils.errors.ConfigError` (a ``ValueError`` subclass, so
-pre-redesign ``except ValueError`` handlers keep working).
+``None`` always means "let the measured crossovers decide".  Validation
+happens **at construction**: a typo'd backend name fails where the config is
+written, not batches later inside ``apply_batch``, and every validation
+failure is a :class:`repro.utils.errors.ConfigError` (a ``ValueError``
+subclass).
 
 Instances are immutable and hashable; derive variants with
 :meth:`STLConfig.replace`::
@@ -38,8 +33,7 @@ Instances are immutable and hashable; derive variants with
 
 The facade :func:`repro.open_network` attaches a config to a new index, and
 the per-call ``config=`` parameters of ``apply_batch`` / ``batch_query``
-override it batch by batch.  The old kwargs still work through a
-deprecation shim (see docs/api.md for the migration table) but warn.
+override it batch by batch.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from typing import Any
 from repro.core.batch import BatchPolicy, normalize_engine
 from repro.core.construction import normalize_construction
 from repro.core.kernels import normalize_kernel
-from repro.core.shard import normalize_parallel
+from repro.core.shard import normalize_backend
 from repro.utils.errors import ConfigError
 
 
@@ -60,25 +54,18 @@ class STLConfig:
     """Frozen configuration for an STL index (see the module docstring).
 
     All fields default to ``None`` -- "decide by measured crossover" -- so
-    ``STLConfig()`` is the legacy default behaviour.  ``backend`` also
-    accepts the legacy boolean spellings of the old ``parallel=`` kwarg
-    (``True`` -> ``"thread"``, ``False`` -> ``"serial"``); they are
-    normalised at construction so two spellings of one config compare
-    equal.
+    ``STLConfig()`` is the default behaviour.
     """
 
-    backend: str | bool | None = None
+    backend: str | None = None
     engine: str | None = None
     kernel: str | None = None
     policy: BatchPolicy | None = None
     construction: str | None = None
 
     def __post_init__(self) -> None:
-        # One shared validator: the same normalizers the per-call kwargs
-        # used, run once at construction.  ``backend`` is stored normalised
-        # (booleans folded to their names) so equality and hashing see one
-        # canonical spelling.
-        object.__setattr__(self, "backend", normalize_parallel(self.backend))
+        # One shared validator, run once at construction.
+        normalize_backend(self.backend)
         normalize_engine(self.engine)
         # ``kernel`` is validated for *name* here but availability
         # (numpy present) is checked too: a config that names the vector

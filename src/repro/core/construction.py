@@ -1,8 +1,8 @@
 """Parallel shared-memory construction pipeline (hierarchy + labels).
 
 Construction is the wall-clock bottleneck at paper scale -- the serial
-pure-Python build is superlinear and fully single-core (77s at 50k vertices,
-BENCH_pr8.json) -- yet both phases are embarrassingly parallel by structure:
+pure-Python build is superlinear and fully single-core (77s at 50k
+vertices) -- yet both phases are embarrassingly parallel by structure:
 
 * **Hierarchy.**  After a bisection, the left and right vertex sets induce
   *independent* subproblems: the recursion below either side never reads the

@@ -104,7 +104,16 @@ _MAX_BITS_DEPTH = 62
 
 
 def on_old_shortest_path(candidate: float, entry: float) -> bool:
-    """Whether ``candidate`` realises ``entry`` up to float re-association."""
+    """Whether ``candidate`` realises the finite ``entry`` up to float re-association.
+
+    The package's one float tolerance, relative: ``MARK_SLACK * max(1.0,
+    entry)``.  The mark phases ask it whether an old shortest path runs
+    through an updated edge, and
+    :meth:`repro.core.labelling.STLLabels.equals` / ``differences`` and
+    :func:`repro.core.labelling.verify_labels` ask it whether two entries
+    agree -- engines that associate the same sum differently land one ulp
+    apart, which at ``1e15`` is more than any absolute tolerance would allow.
+    """
     return abs(candidate - entry) <= MARK_SLACK * max(1.0, entry)
 
 

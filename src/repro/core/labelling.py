@@ -35,6 +35,7 @@ from repro.algorithms.dijkstra import (
     dijkstra_rank_restricted,
     dijkstra_rank_restricted_into,
 )
+from repro.core.kernels import on_old_shortest_path
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import StableTreeHierarchy
 from repro.utils.errors import LabellingError
@@ -363,8 +364,12 @@ class STLLabels:
     # Comparison
     # ------------------------------------------------------------------ #
 
-    def equals(self, other: "STLLabels", tolerance: float = 1e-9) -> bool:
-        """Entry-wise equality within ``tolerance`` (inf entries must match exactly).
+    def equals(self, other: "STLLabels") -> bool:
+        """Entry-wise equality up to the package's one float tolerance.
+
+        Finite entries are compared with
+        :func:`~repro.core.kernels.on_old_shortest_path`; ``inf`` entries
+        must match exactly.
 
         Stores with different vertex counts or row lengths are unequal --
         every entry one side is missing counts as a mismatch, mirroring
@@ -376,20 +381,19 @@ class STLLabels:
             if math.isinf(a) or math.isinf(b):
                 if a != b:
                     return False
-            elif abs(a - b) > tolerance:
+            elif not on_old_shortest_path(a, b):
                 return False
         return True
 
-    def differences(
-        self, other: "STLLabels", tolerance: float = 1e-9
-    ) -> list[tuple[int, int, float, float]]:
+    def differences(self, other: "STLLabels") -> list[tuple[int, int, float, float]]:
         """List of ``(vertex, index, mine, theirs)`` entries that differ.
 
-        Rows are compared out to ``max(len)`` (and vertex sets out to the
-        larger store): an entry present on one side only is reported with
-        ``math.nan`` standing in for the missing value and always counts as a
-        difference.  A ``zip``-based scan would silently truncate exactly the
-        rows whose length changed -- the diffs most worth reporting.
+        Entries are compared as in :meth:`equals`.  Rows are compared out to
+        ``max(len)`` (and vertex sets out to the larger store): an entry
+        present on one side only is reported with ``math.nan`` standing in
+        for the missing value and always counts as a difference.  A
+        ``zip``-based scan would silently truncate exactly the rows whose
+        length changed -- the diffs most worth reporting.
         """
         diffs = []
         mine_rows = self._rows
@@ -405,7 +409,7 @@ class STLLabels:
                 elif math.isinf(a) or math.isinf(b):
                     different = a != b
                 else:
-                    different = abs(a - b) > tolerance
+                    different = not on_old_shortest_path(a, b)
                 if different:
                     diffs.append((v, i, a, b))
         return diffs
@@ -422,7 +426,7 @@ def build_labels(graph: Graph, hierarchy: StableTreeHierarchy) -> STLLabels:
     (:func:`~repro.algorithms.dijkstra.dijkstra_rank_restricted_into`) --
     the search never materialises a per-root distance dict that would then
     be iterated a second time, which cuts measurable per-root overhead at
-    paper scale (see BENCH_pr10.json for the serial-path numbers).
+    paper scale.
     """
     if hierarchy.num_vertices != graph.num_vertices:
         raise LabellingError(
@@ -485,7 +489,7 @@ def verify_labels(graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabel
             matches = (
                 (want == got)
                 if (math.isinf(want) or math.isinf(got))
-                else abs(want - got) < 1e-9
+                else on_old_shortest_path(got, want)
             )
             if not matches:
                 problems.append(f"L({x})[{index}] = {got}, expected {want} (ancestor {r})")

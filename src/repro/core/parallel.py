@@ -715,7 +715,6 @@ class ProcessShardBackend:
     def apply(
         self,
         updates: Sequence[EdgeUpdate],
-        plan: ShardPlan | None = None,
         max_workers: int | None = None,
         engine: str = "pareto",
     ) -> MaintenanceStats:
@@ -728,8 +727,7 @@ class ProcessShardBackend:
         Label Search repairs also write through the shared mapping.
         """
         validate_coalesced(self.graph, updates)
-        if plan is None:
-            plan = self.planner.plan(updates)
+        plan = self.planner.plan(updates)
         stats = MaintenanceStats(updates_processed=len(updates))
         stats.extra["shards"] = plan.populated_shards
         stats.extra["sharded_updates"] = plan.sharded_updates

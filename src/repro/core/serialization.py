@@ -6,17 +6,6 @@ for checkpointing experiment state, not for exchanging indexes between
 machines with different graphs -- the graph itself is *not* stored (labels
 without their road network are not useful), so ``load_labelling`` takes the
 graph as an argument and validates vertex counts.
-
-Besides the JSON checkpoint format, this module hosts the *per-region label
-slicing* kept as the interchange format for label rows: a caller receives
-copies of the rows of exactly the vertices it asks for (:func:`slice_labels`),
-mutates them freely, and merges them back by ownership
-(:func:`merge_label_slices`).  Slices are plain ``dict[int, list[float]]``
-so they pickle cheaply and losslessly.  The process-pool shard backend no
-longer ships slices per batch (workers are resident on a shared-memory
-mapping, see :mod:`repro.core.parallel`), but slicing remains the baseline
-that the shipping-cost calibration (:mod:`repro.core.calibration`) measures
-against, and tools still use it for row-level surgery.
 """
 
 from __future__ import annotations
@@ -25,7 +14,7 @@ import json
 import math
 import os
 from array import array
-from typing import TYPE_CHECKING, Iterable, Mapping, TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from repro.core.labelling import STLLabels
 from repro.core.stl import StableTreeLabelling
@@ -36,14 +25,10 @@ from repro.utils.errors import LabellingError, SerializationError
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.core.snapshot import LabelSnapshot
 
-#: Version 2 added ``construction_seconds``; version 3 stores the labels as
-#: one flat entries buffer plus a CSR offsets array (``labels_flat`` /
-#: ``label_offsets``) instead of nested per-vertex lists.  Old payloads of
-#: either shape are still readable: version 1 (no ``construction_seconds``)
-#: reports a construction time of 0.0, and the decoder branches on which
-#: label keys are present rather than on the version number.
+#: Version 3 stores the labels as one flat entries buffer plus a CSR offsets
+#: array (``labels_flat`` / ``label_offsets``).  Payloads of the earlier
+#: nested-list versions 1 and 2 are refused: rebuild and re-save them.
 FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
 _INF_SENTINEL = -1.0
 
 
@@ -55,38 +40,63 @@ def _decode_distance(value: float) -> float:
     return math.inf if value == _INF_SENTINEL else value
 
 
-def _hierarchy_nodes_payload(hierarchy: StableTreeHierarchy) -> list[dict]:
-    """The JSON shape of the hierarchy's node structure."""
-    return [
-        {
-            "parent": node.parent,
-            "is_right": (
-                node.parent != -1
-                and hierarchy.nodes[node.parent].right == node.index
-            ),
-            "vertices": node.vertices,
-        }
-        for node in hierarchy.nodes
-    ]
+def _labelling_payload(
+    hierarchy: StableTreeHierarchy,
+    labels: STLLabels,
+    maintenance: str,
+    construction_seconds: float,
+) -> dict:
+    """The JSON shape of a hierarchy plus its label store."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "num_vertices": hierarchy.num_vertices,
+        "maintenance": maintenance,
+        "construction_seconds": construction_seconds,
+        "nodes": [
+            {
+                "parent": node.parent,
+                "is_right": (
+                    node.parent != -1
+                    and hierarchy.nodes[node.parent].right == node.index
+                ),
+                "vertices": node.vertices,
+            }
+            for node in hierarchy.nodes
+        ],
+        "label_offsets": list(labels.offsets),
+        "labels_flat": [_encode_distance(d) for d in labels.view],
+    }
+
+
+def _dump(payload: dict, path_or_handle: str | TextIO) -> None:
+    if isinstance(path_or_handle, (str, os.PathLike)):
+        with open(path_or_handle, "w", encoding="ascii") as handle:
+            json.dump(payload, handle)
+    else:
+        json.dump(payload, path_or_handle)
+
+
+def _load(path_or_handle: str | TextIO) -> dict:
+    if isinstance(path_or_handle, (str, os.PathLike)):
+        with open(path_or_handle, "r", encoding="ascii") as handle:
+            return json.load(handle)
+    return json.load(path_or_handle)
 
 
 def serialize_labelling(stl: StableTreeLabelling) -> dict:
     """Turn an index into a JSON-serialisable dict."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "num_vertices": stl.hierarchy.num_vertices,
-        "maintenance": stl.maintenance_mode,
-        "construction_seconds": stl.construction_seconds,
-        "nodes": _hierarchy_nodes_payload(stl.hierarchy),
-        "label_offsets": list(stl.labels.offsets),
-        "labels_flat": [_encode_distance(d) for d in stl.labels.view],
-    }
+    return _labelling_payload(
+        stl.hierarchy, stl.labels, stl.maintenance_mode, stl.construction_seconds
+    )
 
 
 def deserialize_labelling(payload: dict, graph: Graph) -> StableTreeLabelling:
     """Rebuild an index from :func:`serialize_labelling` output."""
-    if payload.get("format_version") not in _SUPPORTED_VERSIONS:
-        raise SerializationError(f"unsupported format version {payload.get('format_version')!r}")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise SerializationError(
+            f"unsupported format version {version!r}; this build reads version {FORMAT_VERSION}"
+        )
     num_vertices = payload["num_vertices"]
     if num_vertices != graph.num_vertices:
         raise SerializationError(
@@ -97,16 +107,13 @@ def deserialize_labelling(payload: dict, graph: Graph) -> StableTreeLabelling:
         node = hierarchy.add_node(entry["parent"], entry["is_right"])
         hierarchy.assign_vertices(node, entry["vertices"])
     hierarchy.finalize()
-    if "labels_flat" in payload:
-        try:
-            labels = STLLabels.from_flat(
-                array("d", (_decode_distance(d) for d in payload["labels_flat"])),
-                array("q", payload["label_offsets"]),
-            )
-        except (LabellingError, OverflowError, TypeError, ValueError) as exc:
-            raise SerializationError(f"malformed flat label store: {exc}") from exc
-    else:
-        labels = STLLabels([[_decode_distance(d) for d in label] for label in payload["labels"]])
+    try:
+        labels = STLLabels.from_flat(
+            array("d", (_decode_distance(d) for d in payload["labels_flat"])),
+            array("q", payload["label_offsets"]),
+        )
+    except (LabellingError, OverflowError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed flat label store: {exc}") from exc
     if len(labels) != num_vertices:
         raise SerializationError(
             f"payload stores labels for {len(labels)} vertices, expected {num_vertices}"
@@ -126,75 +133,14 @@ def deserialize_labelling(payload: dict, graph: Graph) -> StableTreeLabelling:
     )
 
 
-# --------------------------------------------------------------------------- #
-# Per-region label slicing (process-pool shard backend)
-# --------------------------------------------------------------------------- #
-
-def slice_labels(labels: STLLabels, vertices: Iterable[int]) -> dict[int, list[float]]:
-    """Copy the label rows of ``vertices`` into a pickle-friendly dict.
-
-    The rows are *copies*: the caller mutates its slice freely without the
-    index observing partial states.  This was the per-batch shipping format
-    of the process backend before workers became shared-memory resident; it
-    is kept as the slice-shipping baseline the calibration helper measures
-    delta shipping against.
-    """
-    return {v: list(labels[v]) for v in vertices}
-
-
-def region_label_slices(
-    labels: STLLabels, regions: Iterable[Iterable[int]]
-) -> list[dict[int, list[float]]]:
-    """One :func:`slice_labels` dict per planner region (index-aligned)."""
-    return [slice_labels(labels, region) for region in regions]
-
-
-def merge_label_slices(
-    labels: STLLabels,
-    slices: Mapping[int, list[float]],
-    owned: Iterable[int] | None = None,
-) -> int:
-    """Write mutated label rows back into ``labels``; returns rows written.
-
-    ``owned`` restricts the merge to an ownership set (rows for other
-    vertices are ignored rather than merged -- the coordinator's guard
-    against a buggy worker overwriting entries it does not own).  Row
-    lengths are validated: a vertex's label length is fixed by the
-    hierarchy, so a mismatch means the slice belongs to a different index.
-    """
-    allowed = None if owned is None else set(owned)
-    written = 0
-    for v, row in slices.items():
-        if allowed is not None and v not in allowed:
-            continue
-        if len(labels[v]) != len(row):
-            raise SerializationError(
-                f"label slice for vertex {v} has {len(row)} entries, "
-                f"index stores {len(labels[v])}"
-            )
-        labels.set_row(v, row)
-        written += 1
-    return written
-
-
 def save_labelling(stl: StableTreeLabelling, path_or_handle: str | TextIO) -> None:
     """Write an index to a JSON file (or open handle)."""
-    payload = serialize_labelling(stl)
-    if isinstance(path_or_handle, (str, os.PathLike)):
-        with open(path_or_handle, "w", encoding="ascii") as handle:
-            json.dump(payload, handle)
-    else:
-        json.dump(payload, path_or_handle)
+    _dump(serialize_labelling(stl), path_or_handle)
 
 
 def load_labelling(path_or_handle: str | TextIO, graph: Graph) -> StableTreeLabelling:
     """Read an index written by :func:`save_labelling`."""
-    if isinstance(path_or_handle, (str, os.PathLike)):
-        with open(path_or_handle, "r", encoding="ascii") as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(path_or_handle)
-    return deserialize_labelling(payload, graph)
+    return deserialize_labelling(_load(path_or_handle), graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -227,15 +173,9 @@ def serialize_snapshot(snapshot: "LabelSnapshot") -> dict:
         ],
     }
     if snapshot.labels is not None:
-        payload["labelling"] = {
-            "format_version": FORMAT_VERSION,
-            "num_vertices": snapshot.graph.num_vertices,
-            "maintenance": "pareto",
-            "construction_seconds": 0.0,
-            "nodes": _hierarchy_nodes_payload(snapshot.hierarchy),
-            "label_offsets": list(snapshot.labels.offsets),
-            "labels_flat": [_encode_distance(d) for d in snapshot.labels.view],
-        }
+        payload["labelling"] = _labelling_payload(
+            snapshot.hierarchy, snapshot.labels, "pareto", 0.0
+        )
     return payload
 
 
@@ -266,19 +206,9 @@ def deserialize_snapshot(payload: dict) -> "LabelSnapshot":
 
 def save_snapshot(snapshot: "LabelSnapshot", path_or_handle: str | TextIO) -> None:
     """Write a snapshot to a JSON file (or open handle)."""
-    payload = serialize_snapshot(snapshot)
-    if isinstance(path_or_handle, (str, os.PathLike)):
-        with open(path_or_handle, "w", encoding="ascii") as handle:
-            json.dump(payload, handle)
-    else:
-        json.dump(payload, path_or_handle)
+    _dump(serialize_snapshot(snapshot), path_or_handle)
 
 
 def load_snapshot(path_or_handle: str | TextIO) -> "LabelSnapshot":
     """Read a snapshot written by :func:`save_snapshot`."""
-    if isinstance(path_or_handle, (str, os.PathLike)):
-        with open(path_or_handle, "r", encoding="ascii") as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(path_or_handle)
-    return deserialize_snapshot(payload)
+    return deserialize_snapshot(_load(path_or_handle))

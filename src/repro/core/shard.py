@@ -50,13 +50,12 @@ search frontiers only interact through the separator, which is what the
 gives each worker process exclusive ownership of its regions' label rows and
 runs whole shard sub-batches (decreases included) in true parallel on the
 same plan.  Every engine reports plan quality (``shards``,
-``sharded_updates``, ``residual_updates``) so policies can refuse unbalanced
-plans.
+``sharded_updates``, ``residual_updates``) in its stats.
 
 The three engines sit behind one :class:`ShardBackend` protocol (``serial`` /
 ``thread`` / ``process``), created by :func:`create_backend` and selected on
-:meth:`repro.core.stl.StableTreeLabelling.apply_batch` via the ``parallel``
-argument (validated by :func:`normalize_parallel`).  Each backend runs either
+:meth:`repro.core.stl.StableTreeLabelling.apply_batch` via
+``STLConfig.backend`` (validated by :func:`normalize_backend`).  Each backend runs either
 batch *engine* -- the Pareto phases above, or batched Label Search
 (:mod:`repro.core.batch_label_search`), whose per-label-index queues shard
 under the same ownership model with confined drains and escape records
@@ -73,7 +72,6 @@ from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.batch import (
     BatchedParetoEngine,
-    BatchPolicy,
     shared_frontier_decrease,
     validate_coalesced,
 )
@@ -103,33 +101,25 @@ def default_num_shards() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-#: The backend names ``apply_batch(parallel=...)`` accepts (sorted for the
-#: error message of :func:`normalize_parallel`).
+#: The backend names ``STLConfig(backend=...)`` accepts (sorted for the
+#: error message of :func:`normalize_backend`).
 SHARD_BACKEND_NAMES = ("process", "serial", "thread")
 
 
-def normalize_parallel(parallel: bool | str | None) -> str | None:
-    """Map an ``apply_batch(parallel=...)`` argument to a backend name.
+def normalize_backend(backend: str | None) -> str | None:
+    """Validate an ``STLConfig(backend=...)`` value.
 
-    ``None`` means "let the :class:`repro.core.batch.BatchPolicy` crossover
-    decide" and is returned unchanged.  ``False`` forbids sharding
-    (``"serial"``), ``True`` keeps its historical meaning of forcing the
-    thread backend, and the explicit names ``"serial"`` / ``"thread"`` /
-    ``"process"`` select a backend directly.  Anything else -- including the
-    merely-truthy values the parameter used to swallow silently -- raises
-    :class:`repro.utils.errors.ConfigError` (a :class:`ValueError` subclass)
-    naming the allowed set.
+    ``None`` (the policy decides; it never shards) and the names
+    ``"serial"`` / ``"thread"`` / ``"process"`` are returned unchanged.
+    Anything else -- booleans included -- raises
+    :class:`repro.utils.errors.ConfigError` (a :class:`ValueError`
+    subclass) naming the allowed set.
     """
-    if parallel is None:
-        return None
-    if isinstance(parallel, bool):
-        return "thread" if parallel else "serial"
-    if isinstance(parallel, str) and parallel in SHARD_BACKEND_NAMES:
-        return parallel
+    if backend is None or (isinstance(backend, str) and backend in SHARD_BACKEND_NAMES):
+        return backend
     allowed = ", ".join(repr(name) for name in SHARD_BACKEND_NAMES)
     raise ConfigError(
-        f"unknown parallel backend {parallel!r}; allowed backends: {allowed} "
-        "(or True/False/None)"
+        f"unknown shard backend {backend!r}; allowed backends: {allowed} (or None)"
     )
 
 
@@ -153,11 +143,10 @@ class ShardBackend(Protocol):
     def apply(
         self,
         updates: Sequence[EdgeUpdate],
-        plan: "ShardPlan | None" = None,
         max_workers: int | None = None,
         engine: str = "pareto",
     ) -> MaintenanceStats:
-        """Apply one coalesced batch; ``plan`` may be precomputed."""
+        """Apply one coalesced batch."""
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
@@ -208,18 +197,13 @@ class ShardPlan:
     def balance(self) -> float:
         """Fraction of the net updates that avoid the serial residual shard.
 
-        This is the "shard balance" the :class:`repro.core.batch.BatchPolicy`
-        crossover keys on: a plan where most updates cross the separator
-        degenerates into the serial engine plus overhead.
+        A plan where most updates cross the separator degenerates into the
+        serial engine plus overhead.
         """
         total = self.num_updates
         if total == 0:
             return 0.0
         return self.sharded_updates / total
-
-    def worth_running(self, policy: BatchPolicy) -> bool:
-        """Whether this plan clears the policy's balance bar."""
-        return policy.accepts_plan(self.populated_shards, self.balance)
 
 
 class ShardPlanner:
@@ -358,23 +342,19 @@ class ShardedBatchEngine:
     def apply(
         self,
         updates: Sequence[EdgeUpdate],
-        plan: ShardPlan | None = None,
         max_workers: int | None = None,
         engine: str = "pareto",
     ) -> MaintenanceStats:
         """Apply one coalesced batch through the sharded phases.
 
-        ``plan`` may be supplied when the caller already planned the batch
-        (as :meth:`repro.core.stl.StableTreeLabelling.apply_batch` does to
-        evaluate the balance crossover); otherwise :attr:`planner` plans it.
-        ``engine`` selects the batch engine family the phases decompose
-        (``"pareto"`` or ``"label_search"``).  Raises
+        :attr:`planner` plans the batch.  ``engine`` selects the batch
+        engine family the phases decompose (``"pareto"`` or
+        ``"label_search"``).  Raises
         :class:`repro.utils.errors.UpdateError` on non-coalesced input
         (same precondition as the serial engines).
         """
         validate_coalesced(self.graph, updates)
-        if plan is None:
-            plan = self.planner.plan(updates)
+        plan = self.planner.plan(updates)
         stats = MaintenanceStats(updates_processed=len(updates))
         stats.extra["shards"] = plan.populated_shards
         stats.extra["sharded_updates"] = plan.sharded_updates
@@ -677,8 +657,7 @@ class SerialShardBackend:
     """The batched serial engines behind the :class:`ShardBackend` surface.
 
     Exists so callers can treat "no pool at all" as just another backend
-    (the ``parallel="serial"`` / ``parallel=False`` route); the plan, if
-    provided, is only used for the diagnostic extras.
+    (``create_backend("serial")``); it does not plan.
     """
 
     name = "serial"
@@ -700,16 +679,10 @@ class SerialShardBackend:
     def apply(
         self,
         updates: Sequence[EdgeUpdate],
-        plan: ShardPlan | None = None,
         max_workers: int | None = None,
         engine: str = "pareto",
     ) -> MaintenanceStats:
-        stats = self._engines[engine].apply(updates)
-        if plan is not None:
-            stats.extra["shards"] = plan.populated_shards
-            stats.extra["sharded_updates"] = plan.sharded_updates
-            stats.extra["residual_updates"] = len(plan.residual)
-        return stats
+        return self._engines[engine].apply(updates)
 
     def close(self) -> None:
         """Nothing to release."""

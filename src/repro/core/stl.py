@@ -19,18 +19,12 @@ instead, which is how the STL-L rows of Table 3 are produced.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING, Iterable, Literal
 
-from repro.core.batch import BatchedParetoEngine, BatchPolicy, normalize_engine
+from repro.core.batch import BatchedParetoEngine, BatchPolicy
 from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.config import DEFAULT_CONFIG, STLConfig
-from repro.core.shard import (
-    ShardBackend,
-    ShardedBatchEngine,
-    ShardPlanner,
-    normalize_parallel,
-)
+from repro.core.shard import ShardBackend, ShardedBatchEngine, ShardPlanner
 from repro.core.label_search import (
     LabelSearchDecrease,
     LabelSearchIncrease,
@@ -54,20 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.core.snapshot import LabelSnapshot
 
 MaintenanceMode = Literal["pareto", "label_search"]
-
-
-def _deprecated_kwarg(old: str, replacement: str) -> None:
-    """Emit the shim warning for a legacy per-call kwarg.
-
-    ``stacklevel=3`` points the warning at the caller of the public method
-    (caller -> method -> here).
-    """
-    warnings.warn(
-        f"the {old} argument is deprecated; pass {replacement} instead "
-        "(see docs/api.md, 'Migrating to STLConfig')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class StableTreeLabelling:
@@ -287,11 +267,7 @@ class StableTreeLabelling:
         return query_with_hub(self.hierarchy, self.labels, s, t)
 
     def batch_query(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        kernel: str | None = None,
-        *,
-        config: STLConfig | None = None,
+        self, pairs: Iterable[tuple[int, int]], *, config: STLConfig | None = None
     ) -> list[float]:
         """Answer many queries (delegates to :func:`repro.core.query.batch_query`).
 
@@ -301,17 +277,9 @@ class StableTreeLabelling:
         ``repro[fast]`` extra), ``"scalar"`` (the pure-Python loop), or
         ``None`` for the import-time default.  Purely a performance choice:
         both kernels return entry-wise identical answers.
-
-        The positional ``kernel=`` argument is the pre-:class:`STLConfig`
-        spelling; it still works but emits a :class:`DeprecationWarning`
-        (see docs/api.md, "Migrating to STLConfig").
         """
-        if config is not None and kernel is not None:
-            raise ConfigError("pass either config= or the legacy kernel= kwarg, not both")
-        if kernel is not None:
-            _deprecated_kwarg("kernel", "config=STLConfig(kernel=...)")
-        used = kernel if kernel is not None else (config or self.config).kernel
-        return batch_query(self.hierarchy, self.labels, list(pairs), used)
+        kernel = (config or self.config).kernel
+        return batch_query(self.hierarchy, self.labels, list(pairs), kernel)
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -326,13 +294,7 @@ class StableTreeLabelling:
         return MaintenanceStats(updates_processed=1)
 
     def apply_batch(
-        self,
-        updates: Iterable[EdgeUpdate],
-        policy: BatchPolicy | None = None,
-        parallel: bool | str | None = None,
-        engine: str | None = None,
-        *,
-        config: STLConfig | None = None,
+        self, updates: Iterable[EdgeUpdate], *, config: STLConfig | None = None
     ) -> MaintenanceStats:
         """Apply a batch of updates with per-edge coalescing.
 
@@ -354,7 +316,7 @@ class StableTreeLabelling:
           ``policy.rebuild_min_updates``), maintaining is slower than
           reconstructing: the weights are applied and the labels are rebuilt
           from scratch in place (``stats.extra["rebuild_fallback"]`` records
-          the fallback).  ``policy`` defaults to :attr:`batch_policy`.
+          the fallback).  ``config.policy`` defaults to :attr:`batch_policy`.
 
         Backend, engine family, kernel and policy come from ``config`` (a
         per-call :class:`STLConfig` override, defaulting to the index's own
@@ -363,18 +325,15 @@ class StableTreeLabelling:
         * ``config.backend`` selects the shard backend: ``"thread"`` or
           ``"process"`` force that worker-pool engine (bypassing the rebuild
           crossover -- an explicit request to exercise the parallel path, as
-          the benchmarks do; ``stats.extra["sharded"]`` records it),
-          ``"serial"`` forbids sharding, and ``None`` (default) defers to
-          the policy, which shards only once ``parallel_min_updates`` is
-          set.  Any other value raises
-          :class:`repro.utils.errors.ConfigError` naming the allowed set.
+          the benchmarks do; ``stats.extra["sharded"]`` records it);
+          ``"serial"`` and ``None`` (default) never shard.
         * ``config.engine`` selects the batch engine family independently of
           the backend: ``"pareto"`` (the update-centric shared phases) or
           ``"label_search"`` (the ancestor-centric searches of
           :mod:`repro.core.batch_label_search`).  ``None`` means Label
-          Search (:meth:`BatchPolicy.engine_for`).  Every engine runs on
-          every backend and all strategies produce entry-wise identical
-          labels, so both choices are purely performance matters;
+          Search, which has won at every measured batch size.  Every engine
+          runs on every backend and all strategies produce entry-wise
+          identical labels, so both choices are purely performance matters;
           ``stats.extra["label_search_engine"]`` records a Label Search
           batch.
         * ``config.kernel`` pins the serial Label Search engine to its
@@ -383,59 +342,33 @@ class StableTreeLabelling:
           bit-identical either way; ``stats.extra["vector_kernel"]`` and
           ``["rounds"]`` record a vector batch.
 
-        The positional ``policy=`` / ``parallel=`` / ``engine=`` arguments
-        are the pre-:class:`STLConfig` spellings of the same three choices
-        (``parallel`` additionally accepts its historical booleans:
-        ``True`` means ``"thread"``, ``False`` means ``"serial"``).  They
-        still work but emit :class:`DeprecationWarning` (see docs/api.md,
-        "Migrating to STLConfig") and cannot be mixed with ``config=``.
-
         ``updates_processed`` counts every update consumed from the input
         batch, including NEUTRAL updates and updates folded away by
         coalescing; ``stats.extra["net_updates"]`` reports the coalesced
         batch size.
         """
-        if config is not None and (
-            policy is not None or parallel is not None or engine is not None
-        ):
-            raise ConfigError("pass either config= or the legacy per-call kwargs, not both")
-        if policy is not None:
-            _deprecated_kwarg("policy", "config=STLConfig(policy=...)")
-        if parallel is not None:
-            _deprecated_kwarg("parallel", "config=STLConfig(backend=...)")
-        if engine is not None:
-            _deprecated_kwarg("engine", "config=STLConfig(engine=...)")
         cfg = config if config is not None else self.config
-        backend = normalize_parallel(parallel) if parallel is not None else cfg.backend
-        chosen = normalize_engine(engine) if engine is not None else cfg.engine
+        chosen = cfg.engine
         if chosen is None and self._maintenance_mode == "label_search":
             chosen = "label_search"
         batch = updates if isinstance(updates, UpdateBatch) else UpdateBatch(updates)
         total = len(batch)
         if total == 0:
             return MaintenanceStats()
-        policy = policy or cfg.policy or self.batch_policy
+        policy = cfg.policy or self.batch_policy
         net = batch.coalesce(self.graph)
         # NEUTRAL nets (cancelled chains) do no maintenance work, so they must
         # not push an otherwise-small batch over the rebuild crossover.
         effective = sum(1 for u in net if u.kind is not UpdateKind.NEUTRAL)
-        used_engine = chosen or policy.engine_for(effective)
-        if backend in ("thread", "process"):
-            stats = self._apply_batch_sharded(
-                net, policy, forced=True, backend=backend, engine=used_engine
+        used_engine = chosen or "label_search"
+        if cfg.backend in ("thread", "process"):
+            stats = self._shard_backend(cfg.backend).apply(
+                net.updates, max_workers=policy.max_workers, engine=used_engine
             )
+            stats.extra["sharded"] = 1
         elif policy.should_rebuild(effective, self.graph.num_edges):
             stats = self._rebuild_in_place(net)
             used_engine = "rebuild"
-        elif backend != "serial" and policy.should_shard(effective):
-            stats = self._apply_batch_sharded(
-                net,
-                policy,
-                forced=False,
-                backend=policy.backend_for(effective),
-                engine=used_engine,
-                kernel=cfg.kernel,
-            )
         elif policy.should_loop(effective) and (
             chosen is None or chosen == self._maintenance_mode
         ):
@@ -446,53 +379,14 @@ class StableTreeLabelling:
             for update in net:
                 stats.merge(self.apply_update(update))
             used_engine = self._maintenance_mode
+        elif used_engine == "label_search":
+            stats = self._ls_batch_engine.apply(net.updates, kernel=cfg.kernel)
         else:
-            stats = self._apply_serial(used_engine, net, cfg.kernel)
+            stats = self._batch_engine.apply(net.updates)
         stats.updates_processed += total - len(net)
         stats.extra["net_updates"] = len(net)
         if used_engine == "label_search":
             stats.extra["label_search_engine"] = 1
-        return stats
-
-    def _apply_serial(self, engine: str, net: UpdateBatch, kernel: str | None) -> MaintenanceStats:
-        """Run ``net`` on the serial batched engine of the given family.
-
-        ``kernel`` pins the Label Search engine's implementation
-        (``STLConfig.kernel``); the Pareto batch engine has only one.
-        """
-        if engine == "label_search":
-            return self._ls_batch_engine.apply(net.updates, kernel=kernel)
-        return self._batch_engine.apply(net.updates)
-
-    def _apply_batch_sharded(
-        self,
-        net: UpdateBatch,
-        policy: BatchPolicy,
-        forced: bool,
-        backend: str = "thread",
-        engine: str = "pareto",
-        kernel: str | None = None,
-    ) -> MaintenanceStats:
-        """Plan ``net`` into shards and run a worker-pool engine.
-
-        Unless ``forced``, an unbalanced plan (most updates residual, or a
-        single populated shard) falls back to the serial batched engine of
-        the chosen family -- the plan's balance is the second key of the
-        policy's crossover.  Every sharded engine additionally degrades to
-        the serial engine for degenerate plans, so ``forced=True`` is
-        always safe.  Both engines share one planner, so the plan computed
-        here is the plan they run.
-        """
-        shard_engine = self._shard_backend(backend)
-        plan = shard_engine.planner.plan(net)
-        if not forced and not plan.worth_running(policy):
-            stats = self._apply_serial(engine, net, kernel)
-            stats.extra["sharded"] = 0
-            return stats
-        stats = shard_engine.apply(
-            net.updates, plan=plan, max_workers=policy.max_workers, engine=engine
-        )
-        stats.extra["sharded"] = 1
         return stats
 
     def _shard_backend(self, backend: str) -> ShardBackend:

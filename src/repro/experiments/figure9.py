@@ -21,11 +21,17 @@ from repro.workloads.queries import distance_stratified_query_sets
 
 @dataclass
 class Figure9Series:
-    """Per-dataset query times for the distance-stratified query sets."""
+    """Per-dataset query times for the distance-stratified query sets.
+
+    ``stl_entries_scanned`` holds, per bucket, the mean number of label
+    entries (common ancestors) an STL query scans -- the cause behind the
+    STL timing series, and empty when STL is not measured.
+    """
 
     network: str
     query_sets: list[int] = field(default_factory=list)
     series_us: dict[str, list[float]] = field(default_factory=dict)
+    stl_entries_scanned: list[float] = field(default_factory=list)
 
 
 def run_figure9(
@@ -44,8 +50,10 @@ def run_figure9(
             seed=config.seed,
         )
         indexes: dict[str, object] = {}
+        stl = None
         if "STL" in include_methods:
-            indexes["STL"] = StableTreeLabelling.build(graph.copy(), config.hierarchy_options())
+            stl = StableTreeLabelling.build(graph.copy(), config.hierarchy_options())
+            indexes["STL"] = stl
         if "HC2L" in include_methods:
             indexes["HC2L"] = HC2L.build(graph.copy(), leaf_size=config.leaf_size)
         if "IncH2H" in include_methods:
@@ -57,6 +65,11 @@ def run_figure9(
         for bucket in buckets:
             for method, index in indexes.items():
                 series.series_us[method].append(measure_query_us(index, bucket))
+        if stl is not None:
+            series.stl_entries_scanned = [
+                sum(stl.hierarchy.num_common_ancestors(s, t) for s, t in bucket) / len(bucket)
+                for bucket in buckets
+            ]
         results.append(series)
     return results
 
@@ -65,9 +78,12 @@ def format_figure9(results: list[Figure9Series]) -> str:
     """Render the Figure 9 series as per-dataset tables."""
     blocks = []
     for series in results:
+        columns = dict(series.series_us)
+        if series.stl_entries_scanned:
+            columns["STL entries scanned"] = series.stl_entries_scanned
         blocks.append(
             format_series(
-                series.series_us,
+                columns,
                 series.query_sets,
                 title=f"Figure 9 ({series.network}): query time [us] vs query set Q_i",
                 x_label="Q_i",

@@ -22,6 +22,7 @@ from repro.baselines.dtdhl import DTDHL
 from repro.baselines.hc2l import HC2L
 from repro.baselines.inch2h import IncH2H
 from repro.core.batch import BatchPolicy
+from repro.core.label_search import MaintenanceStats
 from repro.core.stl import StableTreeLabelling
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
@@ -52,9 +53,6 @@ class ExperimentConfig:
     leaf_size: int = 16
     batch_rebuild_min_updates: int = 64
     batch_rebuild_fraction: float | None = 0.25
-    batch_parallel_min_updates: int | None = 192
-    batch_parallel_min_balance: float = 0.5
-    batch_process_min_updates: int | None = None
     batch_max_workers: int | None = None
 
     def hierarchy_options(self) -> HierarchyOptions:
@@ -62,7 +60,7 @@ class ExperimentConfig:
         return HierarchyOptions(beta=self.beta, leaf_size=self.leaf_size)
 
     def batch_policy(self) -> BatchPolicy:
-        """Batch-processing policy (rebuild crossover + sharding thresholds).
+        """Batch-processing policy (rebuild crossover + worker-pool size).
 
         Experiment series are engine-pinned: each names its engine in the
         ``STLConfig`` it runs under, so a series that wants the Pareto batch
@@ -71,9 +69,6 @@ class ExperimentConfig:
         return BatchPolicy(
             rebuild_min_updates=self.batch_rebuild_min_updates,
             rebuild_fraction=self.batch_rebuild_fraction,
-            parallel_min_updates=self.batch_parallel_min_updates,
-            parallel_min_balance=self.batch_parallel_min_balance,
-            process_min_updates=self.batch_process_min_updates,
             max_workers=self.batch_max_workers,
         )
 
@@ -193,27 +188,27 @@ def apply_batch_timed(index, batch: UpdateBatch) -> float:
 def measure_batched_seconds(
     index: StableTreeLabelling,
     batches: Iterable[UpdateBatch],
-    parallel: bool | str | None = None,
+    backend: str | None = None,
     engine: str | None = None,
-) -> tuple[float, int]:
-    """Total seconds applying ``batches`` via ``apply_batch``, plus fallbacks.
+) -> tuple[float, MaintenanceStats]:
+    """Total seconds applying ``batches`` via ``apply_batch``, plus their stats.
 
-    The second element counts how many of the batches crossed the
-    :class:`repro.core.batch.BatchPolicy` threshold and were processed as an
-    in-place rebuild instead of incremental maintenance (Figure 10's
-    crossover diagnostic).  ``parallel`` and ``engine`` are forwarded to
-    :meth:`repro.core.stl.StableTreeLabelling.apply_batch`: ``True`` /
-    ``"thread"`` / ``"process"`` force a worker-pool backend (no rebuild
-    fallback can then occur), ``"pareto"`` / ``"label_search"`` pin the
-    engine family, and ``None`` lets the policy crossovers decide.  The
+    The stats are merged over the batches, so ``extra["rebuild_fallback"]``
+    counts how many crossed the :class:`repro.core.batch.BatchPolicy`
+    threshold and were processed as an in-place rebuild instead of
+    incremental maintenance (Figure 10's crossover diagnostic) and
+    ``labels_changed`` the entries the others rewrote.  ``backend`` and
+    ``engine`` override the index's :class:`repro.core.config.STLConfig` for
+    these batches: ``"thread"`` / ``"process"`` force a worker-pool backend
+    (no rebuild fallback can then occur), ``"pareto"`` / ``"label_search"``
+    pin the engine family, and ``None`` lets the policy decide.  The
     experiment series always pin ``engine`` so each measured series is the
     strategy its label names.
     """
-    config = index.config.replace(backend=parallel, engine=engine)
+    config = index.config.replace(backend=backend, engine=engine)
     timer = Timer()
-    fallbacks = 0
+    stats = MaintenanceStats()
     for batch in batches:
         with timer.measure():
-            stats = index.apply_batch(batch, config=config)
-        fallbacks += stats.extra.get("rebuild_fallback", 0)
-    return timer.elapsed, fallbacks
+            stats.merge(index.apply_batch(batch, config=config))
+    return timer.elapsed, stats

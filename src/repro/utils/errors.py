@@ -22,7 +22,7 @@ points to error classes)::
     +-- ExperimentError
 
 :class:`ConfigError` doubles as a :class:`ValueError`: the option validators
-(``normalize_parallel`` / ``normalize_engine`` / ``normalize_kernel`` and the
+(``normalize_backend`` / ``normalize_engine`` / ``normalize_kernel`` and the
 :class:`repro.core.config.STLConfig` constructor) historically raised bare
 ``ValueError``\\ s, so existing ``except ValueError`` call sites keep working
 while new code can catch the library root instead.

@@ -7,6 +7,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import (
@@ -18,6 +19,16 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
+
+#: The suite's property tests draw the same examples on every run, with no
+#: example database: a red run reproduces, and a rare failing draw cannot be
+#: saved into the git-ignored ``.hypothesis/`` and replayed forever.
+#: ``pytest --hypothesis-profile=default`` searches with fresh randomness.
+settings.register_profile("derandomized", derandomize=True, database=None)
+
+
+def pytest_configure(config):
+    settings.load_profile(config.getoption("hypothesis_profile") or "derandomized")
 
 
 def nx_all_pairs(graph: Graph) -> dict[int, dict[int, float]]:

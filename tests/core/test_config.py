@@ -1,17 +1,15 @@
-"""STLConfig: the one configuration object, its validator and the shims.
+"""STLConfig: the one configuration object and its validator.
 
-The API redesign folded the accreted per-call kwargs (``parallel=``,
-``engine=``, ``kernel=``, ``policy=``) into one frozen dataclass validated
-at construction.  These tests pin the contract: construction-time
-validation through :class:`ConfigError` (a ``ValueError`` subclass),
-canonical normalisation of the legacy boolean spellings, the
-:func:`repro.open_network` facade, and the deprecation shims that keep the
-old kwargs working while warning.
+Every per-index choice lives on one frozen dataclass validated at
+construction.  These tests pin the contract: construction-time validation
+through :class:`ConfigError` (a ``ValueError`` subclass), the
+:func:`repro.open_network` facade, and the removal of the pre-STLConfig
+per-call kwargs and boolean backend spellings.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
@@ -19,7 +17,7 @@ import repro
 from repro.core.batch import BatchPolicy, normalize_engine
 from repro.core.config import DEFAULT_CONFIG, STLConfig
 from repro.core.kernels import HAS_NUMPY, normalize_kernel
-from repro.core.shard import normalize_parallel
+from repro.core.shard import normalize_backend
 from repro.core.stl import StableTreeLabelling, open_network
 from repro.graph.updates import EdgeUpdate
 from repro.utils.errors import (
@@ -66,12 +64,6 @@ class TestSTLConfigValidation:
         assert issubclass(ConfigError, ValueError)
         assert issubclass(ConfigError, STLError)
 
-    def test_legacy_boolean_backends_normalised(self):
-        assert STLConfig(backend=True).backend == "thread"
-        assert STLConfig(backend=False).backend == "serial"
-        assert STLConfig(backend=True) == STLConfig(backend="thread")
-        assert hash(STLConfig(backend=False)) == hash(STLConfig(backend="serial"))
-
     def test_replace_revalidates(self):
         base = STLConfig(engine="label_search")
         assert base.replace(backend="process").engine == "label_search"
@@ -96,9 +88,9 @@ class TestSTLConfigValidation:
 class TestNormalizerErrors:
     """The shared validators raise the unified hierarchy's ConfigError."""
 
-    def test_normalize_parallel(self):
+    def test_normalize_backend(self):
         with pytest.raises(ConfigError):
-            normalize_parallel("premium")
+            normalize_backend("premium")
 
     def test_normalize_engine(self):
         with pytest.raises(ConfigError):
@@ -141,12 +133,9 @@ class TestOpenNetwork:
 
     def test_config_drives_batches_without_kwargs(self, small_grid):
         stl = open_network(small_grid, config=STLConfig(engine="label_search"))
-        u, v, w = next(iter(stl.graph.edges()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            stats = stl.apply_batch(
-                [EdgeUpdate(u, v, w, w * 2) for u, v, w in list(stl.graph.edges())[:8]]
-            )
+        stats = stl.apply_batch(
+            [EdgeUpdate(u, v, w, w * 2) for u, v, w in list(stl.graph.edges())[:8]]
+        )
         assert stats.extra.get("label_search_engine") == 1
 
     def test_rebuild_inherits_config(self, small_grid):
@@ -154,62 +143,47 @@ class TestOpenNetwork:
         stl = open_network(small_grid, config=config)
         assert stl.rebuild().config is config
 
-
-class TestDeprecationShims:
-    @pytest.fixture
-    def stl(self, small_grid):
-        return StableTreeLabelling.build(small_grid)
-
-    def test_parallel_kwarg_warns_and_works(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning, match="backend"):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], parallel="serial")
-        assert stats.updates_processed == 1
-
-    def test_engine_kwarg_warns_and_works(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning, match="STLConfig"):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], engine="label_search")
-        assert stats.extra.get("label_search_engine") == 1
-
-    def test_policy_kwarg_warns_and_works(self, stl):
-        updates = [EdgeUpdate(u, v, w, w * 2) for u, v, w in list(stl.graph.edges())[:5]]
-        with pytest.warns(DeprecationWarning, match="policy"):
-            stats = stl.apply_batch(
-                updates, policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0)
-            )
-        assert stats.extra.get("rebuild_fallback") == 1
-
-    def test_kernel_kwarg_warns_and_works(self, stl):
-        pairs = [(0, stl.graph.num_vertices - 1)]
-        with pytest.warns(DeprecationWarning, match="kernel"):
-            legacy = stl.batch_query(pairs, kernel="scalar")
-        assert legacy == stl.batch_query(pairs, config=STLConfig(kernel="scalar"))
-
-    def test_legacy_booleans_still_accepted_through_shim(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.warns(DeprecationWarning):
-            stats = stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], parallel=False)
-        assert stats.updates_processed == 1
-
-    def test_mixing_config_and_legacy_kwargs_rejected(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with pytest.raises(ConfigError, match="not both"):
-            stl.apply_batch(
-                [EdgeUpdate(u, v, w, w * 2)], engine="pareto", config=STLConfig()
-            )
-        with pytest.raises(ConfigError, match="not both"):
-            stl.batch_query([(0, 1)], kernel="scalar", config=STLConfig())
-
-    def test_config_path_is_warning_free(self, stl):
-        u, v, w = next(iter(stl.graph.edges()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], config=STLConfig(backend="serial"))
-            stl.batch_query([(0, 1)], config=STLConfig(kernel="scalar"))
-
     def test_explicit_all_export_surface(self):
         for name in ("open_network", "STLConfig", "STLError", "LabelSnapshot",
                      "QueryService", "QueryServer", "StableTreeLabelling"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+
+
+class TestRemovedSurface:
+    """The pre-STLConfig spellings fail loudly instead of warning."""
+
+    @pytest.fixture
+    def stl(self, small_grid):
+        return StableTreeLabelling.build(small_grid)
+
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_boolean_backend_is_config_error(self, legacy):
+        with pytest.raises(ConfigError, match="allowed backends"):
+            STLConfig(backend=legacy)
+
+    @pytest.mark.parametrize(
+        "kwarg",
+        [
+            {"parallel": "serial"},
+            {"engine": "label_search"},
+            {"policy": BatchPolicy(rebuild_fraction=None)},
+        ],
+    )
+    def test_apply_batch_takes_only_config(self, stl, kwarg):
+        u, v, w = next(iter(stl.graph.edges()))
+        with pytest.raises(TypeError):
+            stl.apply_batch([EdgeUpdate(u, v, w, w * 2)], **kwarg)
+        assert stl.graph.weight(u, v) == w
+
+    def test_batch_query_takes_only_config(self, stl):
+        with pytest.raises(TypeError):
+            stl.batch_query([(0, 1)], kernel="scalar")
+
+    def test_policy_has_only_its_four_knobs(self):
+        assert [f.name for f in dataclasses.fields(BatchPolicy)] == [
+            "rebuild_min_updates",
+            "rebuild_fraction",
+            "batched_min_updates",
+            "max_workers",
+        ]

@@ -164,7 +164,7 @@ class TestEngineBackendMatrix:
         try:
             for round_ in range(2):
                 batch = random_mixed_batch(reference.graph, 50, seed=100 + round_)
-                reference.apply_batch(batch, config=STLConfig(backend=False, engine="pareto"))
+                reference.apply_batch(batch, config=STLConfig(backend="serial", engine="pareto"))
                 candidate.apply_batch(batch, config=cell)
             assert candidate.labels.differences(reference.labels) == []
         finally:

@@ -299,6 +299,34 @@ class TestMarkPhaseParity:
         assert collect(True) == collect(False)
 
 
+class TestOnOldShortestPath:
+    """The package's one float tolerance: ``MARK_SLACK * max(1.0, entry)``."""
+
+    def test_relative_at_large_magnitude(self):
+        # The Pareto / rebuild pair of the pinned property-test stream: one
+        # ulp apart at 1e15, far beyond any absolute 1e-9.
+        assert kernels.on_old_shortest_path(1000000000000038.5, 1000000000000038.6)
+        bound = kernels.MARK_SLACK * 1e15
+        assert kernels.on_old_shortest_path(1e15 + 0.5 * bound, 1e15)
+        assert not kernels.on_old_shortest_path(1e15 + 2.0 * bound, 1e15)
+
+    def test_absolute_floor_below_one(self):
+        for entry in (0.0, 0.5, 1.0):
+            assert kernels.on_old_shortest_path(entry + 0.5 * kernels.MARK_SLACK, entry)
+            assert not kernels.on_old_shortest_path(entry + 2.0 * kernels.MARK_SLACK, entry)
+
+    @needs_numpy
+    def test_row_predicate_matches_scalar(self):
+        import numpy as np
+
+        entries = [0.0, 0.5, 1.0, 7.25, 1e6, 1e15]
+        offsets = [0.0, 0.4, 0.6, 2.0, 1e3]
+        candidate = [e + o * kernels.MARK_SLACK * max(1.0, e) for e in entries for o in offsets]
+        entry = [e for e in entries for _ in offsets]
+        vector = kernels._realises(np.asarray(candidate), np.asarray(entry))
+        assert list(vector) == [kernels.on_old_shortest_path(c, e) for c, e in zip(candidate, entry)]
+
+
 class TestSeedAffectedRowsGates:
     def test_short_prefix_falls_back(self, city_stl):
         # Below VECTOR_MIN_SPAN the kernel must decline so the scalar loop

@@ -190,16 +190,6 @@ class TestKernelSelection:
         assert "vector_kernel" not in stats.extra and "sharded" not in stats.extra
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
 
-    def test_policy_has_no_engine_crossover(self):
-        policy = BatchPolicy()
-        assert not hasattr(policy, "label_search_max_updates")
-        assert policy.parallel_min_updates is None
-        assert {policy.engine_for(n) for n in (1, 384, 385, 10**6)} == {"label_search"}
-        assert not policy.should_shard(10**6)
-        # The sharding legs still work for a caller who sets the threshold.
-        sharding = BatchPolicy(parallel_min_updates=100)
-        assert sharding.should_shard(100) and sharding.backend_for(384) == "process"
-
 
 @needs_numpy
 class TestAdjacencyMirror:

@@ -203,6 +203,54 @@ class TestCSRStore:
         assert after == before
 
 
+class TestOneTolerance:
+    """Store comparison and verification share ``kernels.on_old_shortest_path``."""
+
+    NEAR_INF = 1000000000000038.5
+
+    def test_one_ulp_at_large_magnitude_is_equal(self):
+        from repro.core.labelling import STLLabels
+
+        mine = STLLabels([[0.0], [self.NEAR_INF, 0.0]])
+        theirs = STLLabels([[0.0], [math.nextafter(self.NEAR_INF, math.inf), 0.0]])
+        assert mine.equals(theirs)
+        assert mine.differences(theirs) == []
+
+    def test_gap_beyond_slack_is_reported(self):
+        from repro.core.labelling import STLLabels
+
+        mine = STLLabels([[0.0], [1.0, 0.0]])
+        theirs = STLLabels([[0.0], [1.0 + 1e-8, 0.0]])
+        assert not mine.equals(theirs)
+        assert mine.differences(theirs) == [(1, 0, 1.0, 1.0 + 1e-8)]
+
+    def test_inf_matches_only_inf(self):
+        from repro.core.labelling import STLLabels
+
+        mine = STLLabels([[0.0], [math.inf, 0.0]])
+        assert mine.equals(STLLabels([[0.0], [math.inf, 0.0]]))
+        theirs = STLLabels([[0.0], [1e300, 0.0]])
+        assert not mine.equals(theirs)
+        assert mine.differences(theirs) == [(1, 0, math.inf, 1e300)]
+
+    def test_comparison_takes_no_tolerance(self, built):
+        _, _, labels = built
+        with pytest.raises(TypeError):
+            labels.equals(labels.copy(), tolerance=1.0)
+        with pytest.raises(TypeError):
+            labels.differences(labels.copy(), tolerance=1.0)
+
+    def test_verify_labels_is_relative(self):
+        graph = Graph.from_edges(2, [(0, 1, self.NEAR_INF)])
+        hierarchy = build_hierarchy(graph, HierarchyOptions(leaf_size=1))
+        labels = build_labels(graph, hierarchy)
+        v = next(v for v in range(2) if labels[v][0] == self.NEAR_INF)
+        labels[v][0] = math.nextafter(self.NEAR_INF, math.inf)
+        assert verify_labels(graph, hierarchy, labels) == []
+        labels[v][0] = self.NEAR_INF * (1.0 + 1e-8)
+        assert verify_labels(graph, hierarchy, labels) != []
+
+
 class TestDifferencesShapeMismatches:
     """Regression: differences() must not zip-truncate unequal shapes."""
 

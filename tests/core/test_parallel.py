@@ -19,7 +19,7 @@ from repro.core.shard import (
     ShardedBatchEngine,
     ShardPlanner,
     create_backend,
-    normalize_parallel,
+    normalize_backend,
 )
 from repro.core.stl import StableTreeLabelling
 from repro.graph.updates import EdgeUpdate, UpdateBatch
@@ -164,8 +164,7 @@ class TestProcessBackendEquivalence:
         serial, engine, par, backend = process_pair
         batch = random_mixed_batch(serial.graph, 50, seed=13)
         net = batch.coalesce(par.graph)
-        plan = backend.planner.plan(net)
-        assert plan.populated_shards >= 2, "need a non-degenerate plan"
+        assert backend.planner.plan(net).populated_shards >= 2, "need a non-degenerate plan"
         from repro.core import parallel as parallel_mod
 
         def boom(self, timeout):
@@ -173,7 +172,7 @@ class TestProcessBackendEquivalence:
 
         monkeypatch.setattr(parallel_mod._RegionWorker, "recv", boom)
         with pytest.raises(RuntimeError, match="synthetic worker failure"):
-            backend.apply(net.updates, plan=plan)
+            backend.apply(net.updates)
         assert backend._workers is None, "failed batch must close the pool"
         monkeypatch.undo()
         # The index state is torn (the failed batch half-applied), so rebuild
@@ -209,21 +208,17 @@ class TestProcessBackendEquivalence:
 
 
 class TestBackendSelection:
-    def test_normalize_parallel_mappings(self):
-        assert normalize_parallel(None) is None
-        assert normalize_parallel(False) == "serial"
-        assert normalize_parallel(True) == "thread"
+    def test_normalize_backend_accepts_names(self):
+        assert normalize_backend(None) is None
         for name in SHARD_BACKEND_NAMES:
-            assert normalize_parallel(name) == name
+            assert normalize_backend(name) == name
 
-    @pytest.mark.parametrize("bogus", [1, 2.5, "threads", "fork", object()])
-    def test_truthy_garbage_raises_with_allowed_set(self, bogus):
-        """Regression: ``parallel`` used to accept any truthy value."""
+    @pytest.mark.parametrize("bogus", [True, False, 1, 2.5, "threads", "fork", object()])
+    def test_anything_else_raises_with_allowed_set(self, bogus):
+        """Booleans, numbers and misspellings are not backend names."""
         with pytest.raises(ValueError) as err:
-            normalize_parallel(bogus)
-        message = str(err.value)
-        assert "allowed backends: 'process', 'serial', 'thread'" in message
-        assert "True/False/None" in message
+            normalize_backend(bogus)
+        assert "allowed backends: 'process', 'serial', 'thread'" in str(err.value)
 
     def test_apply_batch_rejects_unknown_backend(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
@@ -250,18 +245,8 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="allowed backends"):
             create_backend("gpu", stl.graph, stl.hierarchy, stl.labels)
 
-    def test_policy_backend_for_crossover(self):
-        policy = BatchPolicy(process_min_updates=100)
-        assert policy.backend_for(99) == "thread"
-        assert policy.backend_for(100) == "process"
-        # The calibrated default engages the process pool at 384 net
-        # updates (see BatchPolicy.process_min_updates); None disables it.
-        assert BatchPolicy().backend_for(383) == "thread"
-        assert BatchPolicy().backend_for(384) == "process"
-        assert BatchPolicy(process_min_updates=None).backend_for(10**6) == "thread"
-
     def test_apply_batch_parallel_process_end_to_end(self, small_grid):
-        """``apply_batch(parallel="process")`` forces the process backend and
+        """``STLConfig(backend="process")`` forces the process backend and
         matches the serial route entry-wise."""
         serial, par = paired_indexes(small_grid)
         par.batch_policy = BatchPolicy(rebuild_fraction=None, max_workers=WORKERS)
@@ -278,24 +263,6 @@ class TestBackendSelection:
             par.close()
             par.close()  # idempotent
 
-    def test_policy_crossover_routes_to_process(self, small_grid):
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        stl.batch_policy = BatchPolicy(
-            rebuild_fraction=None,
-            parallel_min_updates=10,
-            parallel_min_balance=0.1,
-            process_min_updates=10,
-            max_workers=WORKERS,
-        )
-        try:
-            batch = random_mixed_batch(stl.graph, 60, seed=4)
-            stats = stl.apply_batch(batch)
-            assert stats.extra.get("sharded") == 1
-            assert stl._process_backend is not None, "crossover must pick process"
-            assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
-        finally:
-            stl.close()
-
     def test_label_search_mode_runs_process(self, small_grid):
         """Label-search mode runs on the process backend (PR 7 lifted the
         pre-PR-7 ValueError) and stays entry-wise equal to the serial engine."""
@@ -308,7 +275,7 @@ class TestBackendSelection:
         )
         try:
             batch = random_mixed_batch(serial.graph, 50, seed=3)
-            serial.apply_batch(batch, config=STLConfig(backend=False))
+            serial.apply_batch(batch, config=STLConfig(backend="serial"))
             stats = par.apply_batch(batch, config=STLConfig(backend="process"))
             assert stats.extra["sharded"] == 1
             assert stats.extra["label_search_engine"] == 1

@@ -1,7 +1,6 @@
 """Unit tests for index serialization."""
 
 import io
-import math
 import pickle
 import random
 
@@ -10,10 +9,9 @@ import pytest
 from repro.core.serialization import (
     deserialize_labelling,
     load_labelling,
-    merge_label_slices,
-    region_label_slices,
     save_labelling,
     serialize_labelling,
+    serialize_snapshot,
 )
 from repro.core.shard import ShardPlanner
 from repro.core.stl import StableTreeLabelling
@@ -112,30 +110,21 @@ def test_construction_seconds_survive_round_trip(stl):
     assert loaded.stats().construction_seconds == stl.construction_seconds
 
 
-def test_version_1_payload_still_loads(stl):
-    """Version-1 payloads (no construction_seconds field) remain readable."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_nested_list_versions_rejected(stl, version):
+    """Versions 1-2 stored nested per-vertex lists; they are refused by name."""
     payload = serialize_labelling(stl)
-    payload["format_version"] = 1
-    del payload["construction_seconds"]
-    loaded = deserialize_labelling(payload, stl.graph)
-    assert loaded.construction_seconds == 0.0
-    assert loaded.labels.equals(stl.labels)
+    payload["format_version"] = version
+    with pytest.raises(SerializationError, match=rf"format version {version}\b"):
+        deserialize_labelling(payload, stl.graph)
 
 
-def test_version_2_nested_payload_still_loads(stl):
-    """Version-2 payloads carried nested per-vertex lists, not the flat store."""
-    payload = serialize_labelling(stl)
-    payload["format_version"] = 2
-    flat = payload.pop("labels_flat")
-    offsets = payload.pop("label_offsets")
-    payload["labels"] = [
-        flat[offsets[v] : offsets[v + 1]] for v in range(len(offsets) - 1)
-    ]
-    loaded = deserialize_labelling(payload, stl.graph)
-    assert loaded.labels.equals(stl.labels)
-    assert loaded.query(0, stl.graph.num_vertices - 1) == stl.query(
-        0, stl.graph.num_vertices - 1
-    )
+def test_snapshot_embeds_the_labelling_payload(stl):
+    """A snapshot's labelling section is the checkpoint payload, field for field."""
+    stl.set_maintenance("label_search")
+    expected = serialize_labelling(stl)
+    expected.update(maintenance="pareto", construction_seconds=0.0)
+    assert serialize_snapshot(stl.snapshot())["labelling"] == expected
 
 
 def test_corrupt_flat_payload_rejected(stl):
@@ -174,33 +163,3 @@ def test_shard_plan_pickle_round_trip(small_grid):
         assert list(mine) == list(theirs)
     assert clone.balance == plan.balance
     assert clone.num_updates == plan.num_updates
-
-
-def test_label_slices_pickle_round_trip(stl):
-    """Per-region label slices survive pickling bit-for-bit, inf included."""
-    regions, separator = ShardPlanner(stl.graph, num_shards=4).regions()
-    stl.labels.labels[separator[0]][0] = math.inf  # exercise the inf path
-    slices = region_label_slices(stl.labels, [*regions, separator])
-    clones = pickle.loads(pickle.dumps(slices))
-    assert len(clones) == len(slices)
-    for mine, theirs in zip(slices, clones):
-        assert mine == theirs  # dict equality is entry-wise, inf == inf
-    # Slices are copies: mutating a slice must not touch the index...
-    v = regions[0][0]
-    slices[0][v][0] = -1.0
-    assert stl.labels[v][0] != -1.0
-    # ...until merged back explicitly, and only within the ownership set.
-    written = merge_label_slices(stl.labels, slices[0], owned=regions[0])
-    assert written == len(regions[0])
-    assert stl.labels[v][0] == -1.0
-
-
-def test_merge_label_slices_respects_ownership_and_shape(stl):
-    regions, _ = ShardPlanner(stl.graph, num_shards=4).regions()
-    foreign = regions[1][0]
-    before = list(stl.labels[foreign])
-    written = merge_label_slices(stl.labels, {foreign: [0.0] * len(before)}, owned=regions[0])
-    assert written == 0, "rows outside the ownership set must be ignored"
-    assert list(stl.labels[foreign]) == before
-    with pytest.raises(SerializationError):
-        merge_label_slices(stl.labels, {foreign: [0.0]})

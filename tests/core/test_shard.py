@@ -1,10 +1,20 @@
 """Unit tests for sharded parallel batch maintenance (core/shard.py)."""
 
+import inspect
+
 import pytest
 
 from repro.core.batch import BatchedParetoEngine, BatchPolicy
+from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.labelling import verify_labels
-from repro.core.shard import ShardedBatchEngine, ShardPlanner, default_num_shards
+from repro.core.parallel import ProcessShardBackend
+from repro.core.shard import (
+    SerialShardBackend,
+    ShardedBatchEngine,
+    ShardPlanner,
+    create_backend,
+    default_num_shards,
+)
 from repro.core.stl import StableTreeLabelling
 from repro.graph.updates import EdgeUpdate
 from repro.hierarchy.builder import HierarchyOptions
@@ -83,8 +93,6 @@ class TestShardPlanner:
         plan = ShardPlanner(small_grid, num_shards=4).plan(net)
         assert 0.0 <= plan.balance <= 1.0
         assert plan.sharded_updates + len(plan.residual) == len(net)
-        policy = BatchPolicy(parallel_min_balance=plan.balance)
-        assert plan.worth_running(policy) == (plan.populated_shards >= 2)
 
 
 class TestShardedEquivalence:
@@ -165,37 +173,52 @@ class TestShardedEquivalence:
             engine.apply([EdgeUpdate(u, v, w + 1.0, w + 5.0)])
 
 
+class TestBackendSurface:
+    @pytest.mark.parametrize(
+        "cls", [SerialShardBackend, ShardedBatchEngine, ProcessShardBackend]
+    )
+    def test_backends_share_one_apply_signature(self, cls):
+        """Every backend plans its own batch; none takes a precomputed plan."""
+        params = list(inspect.signature(cls.apply).parameters)
+        assert params == ["self", "updates", "max_workers", "engine"]
+
+    @pytest.mark.parametrize(
+        "engine, reference",
+        [("pareto", BatchedParetoEngine), ("label_search", BatchedLabelSearchEngine)],
+    )
+    def test_serial_backend_is_the_named_engine(self, small_grid, engine, reference):
+        serial, other = paired_indexes(small_grid)
+        batch = random_mixed_batch(serial.graph, 40, seed=6)
+        reference(serial.graph, serial.hierarchy, serial.labels).apply(
+            batch.coalesce(serial.graph).updates
+        )
+        backend = create_backend("serial", other.graph, other.hierarchy, other.labels)
+        stats = backend.apply(batch.coalesce(other.graph).updates, engine=engine)
+        assert "shards" not in stats.extra
+        assert other.labels.differences(serial.labels) == []
+
+
 class TestPolicyCrossover:
-    def test_should_loop_and_should_shard(self):
-        policy = BatchPolicy(batched_min_updates=3, parallel_min_updates=100)
+    def test_should_loop(self):
+        policy = BatchPolicy(batched_min_updates=3)
         assert policy.should_loop(2)
         assert not policy.should_loop(3)
-        assert not policy.should_shard(99)
-        assert policy.should_shard(100)
-        assert not BatchPolicy(parallel_min_updates=None).should_shard(10_000)
 
-    def test_accepts_plan(self):
-        policy = BatchPolicy(parallel_min_balance=0.5)
-        assert policy.accepts_plan(2, 0.5)
-        assert not policy.accepts_plan(1, 1.0)
-        assert not policy.accepts_plan(4, 0.49)
-
-    def test_apply_batch_parallel_false_never_shards(self, small_grid):
+    @pytest.mark.parametrize("backend", [None, "serial"])
+    def test_apply_batch_never_shards_unless_named(self, small_grid, backend):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        stl.batch_policy = BatchPolicy(
-            rebuild_fraction=None, parallel_min_updates=1, parallel_min_balance=0.0
-        )
+        stl.batch_policy = BatchPolicy(rebuild_fraction=None)
         batch = random_mixed_batch(stl.graph, 30, seed=1)
-        stats = stl.apply_batch(batch, config=STLConfig(backend=False))
-        assert "sharded" not in stats.extra or stats.extra["sharded"] == 0
+        stats = stl.apply_batch(batch, config=STLConfig(backend=backend))
+        assert "sharded" not in stats.extra
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
-    def test_apply_batch_parallel_true_forces_sharding(self, small_grid):
+    def test_apply_batch_named_thread_backend_shards(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        # Even a policy that would rebuild is bypassed by parallel=True.
+        # Even a policy that would rebuild is bypassed by a named backend.
         stl.batch_policy = BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0)
         batch = random_mixed_batch(stl.graph, 30, seed=2)
-        stats = stl.apply_batch(batch, config=STLConfig(backend=True))
+        stats = stl.apply_batch(batch, config=STLConfig(backend="thread"))
         assert stats.extra["sharded"] == 1
         assert "rebuild_fallback" not in stats.extra
         assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
@@ -211,21 +234,11 @@ class TestPolicyCrossover:
             maintenance="label_search",
         )
         batch = random_mixed_batch(serial.graph, 50, seed=3)
-        serial.apply_batch(batch, config=STLConfig(backend=False))
-        stats = sharded.apply_batch(batch, config=STLConfig(backend=True))
+        serial.apply_batch(batch, config=STLConfig(backend="serial"))
+        stats = sharded.apply_batch(batch, config=STLConfig(backend="thread"))
         assert stats.extra["sharded"] == 1
         assert stats.extra["label_search_engine"] == 1
         assert sharded.labels.differences(serial.labels) == []
-
-    def test_policy_crossover_selects_sharded(self, small_grid):
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        stl.batch_policy = BatchPolicy(
-            rebuild_fraction=None, parallel_min_updates=10, parallel_min_balance=0.1
-        )
-        batch = random_mixed_batch(stl.graph, 60, seed=4)
-        stats = stl.apply_batch(batch)
-        assert stats.extra.get("sharded") == 1
-        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
     def test_tiny_batch_runs_per_update_loop(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))

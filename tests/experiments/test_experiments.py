@@ -1,6 +1,6 @@
 """Unit tests for the experiment drivers (small configurations)."""
 
-
+from repro.core.batch import BatchPolicy
 from repro.experiments.harness import (
     ExperimentConfig,
     build_dynamic_competitors,
@@ -66,6 +66,16 @@ class TestHarness:
         assert set(dynamic) == {"IncH2H", "DTDHL"}
         assert set(static) == {"HC2L"}
 
+    def test_batch_policy_carries_the_config_knobs(self):
+        config = ExperimentConfig(
+            batch_rebuild_min_updates=9, batch_rebuild_fraction=None, batch_max_workers=2
+        )
+        policy = config.batch_policy()
+        assert policy.rebuild_min_updates == 9
+        assert policy.rebuild_fraction is None
+        assert policy.max_workers == 2
+        assert policy.batched_min_updates == BatchPolicy().batched_min_updates
+
     def test_measurement_helpers(self):
         graph = build_dataset("NY", scale=0.2, seed=1)
         stl = build_stl_variants(graph)["STL-P"]
@@ -120,7 +130,8 @@ class TestFigureDrivers:
         series = results[0]
         assert len(series.query_sets) == TINY.query_sets
         assert len(series.series_us["STL"]) == TINY.query_sets
-        assert "Q_i" in format_figure9(results)
+        assert len(series.stl_entries_scanned) == TINY.query_sets
+        assert "STL entries scanned" in format_figure9(results)
 
     def test_figure10(self):
         results = run_figure10(TINY, group_sizes=(3, 6))

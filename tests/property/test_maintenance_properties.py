@@ -9,7 +9,7 @@ increases and decreases (including deletions to ``inf`` and restores back).
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dijkstra_oracle import DijkstraOracle
@@ -166,12 +166,29 @@ def _replay_batches(graph, rounds, engine):
     stl.batch_policy = BatchPolicy(rebuild_fraction=None)
     for batch in rounds:
         updates = UpdateBatch(EdgeUpdate(u, v, old, new) for u, v, old, new in batch)
-        stl.apply_batch(updates, config=STLConfig(backend=False, engine=engine))
+        stl.apply_batch(updates, config=STLConfig(backend="serial", engine=engine))
     return stl
+
+
+#: A stream on which the Pareto batch engine and the rebuild associate one
+#: sum through the ``1e15`` edge differently and land one ulp apart
+#: (``1000000000000038.5`` vs ``.6``): equal under the relative tolerance,
+#: unequal under an absolute one.
+_ULP_APART = (
+    random_connected_graph(14, 0.18, seed=4615),
+    [
+        [(0, 11, 9.0, 19.3), (1, 6, 8.0, 16.0), (9, 12, 3.0, 6.0), (0, 5, 7.0, 16.4),
+         (0, 7, 9.0, 18.0)],
+        [(8, 12, 10.0, 20.0), (4, 7, 8.0, 16.0), (3, 6, 10.0, 20.0), (1, 7, 10.0, 20.0),
+         (9, 11, 7.0, 1e15)],
+        [(0, 11, 19.3, 38.6), (1, 7, 20.0, 40.0)],
+    ],
+)
 
 
 @SETTINGS
 @given(stream_scenarios())
+@example(_ULP_APART)
 def test_batch_engines_agree_on_random_streams(scenario):
     """Both engine families land on entry-wise identical labels after the
     same stream -- and both equal a from-scratch rebuild."""
