@@ -88,22 +88,12 @@ class BatchedLabelSearchEngine:
       indexes of the batch at once over flat entry positions, in
       level-synchronous rounds.  Labels come out bit-identical to the scalar
       path (see that class for the argument).
-
-    ``mirror`` lets the owner of several engines over one graph share a
-    single :class:`repro.core.kernels.AdjacencyMirror`.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        hierarchy: StableTreeHierarchy,
-        labels: STLLabels,
-        mirror: kernels.AdjacencyMirror | None = None,
-    ):
+    def __init__(self, graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabels):
         self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
-        self.mirror = mirror if mirror is not None else kernels.AdjacencyMirror(graph)
 
     def apply(self, updates: Sequence[EdgeUpdate], kernel: str | None = None) -> MaintenanceStats:
         """Apply one coalesced batch (at most one net update per edge).
@@ -146,7 +136,7 @@ class BatchedLabelSearchEngine:
         """A round driver plus the batch's edges oriented ``tau(a) < tau(b)``."""
         tau = self.hierarchy.tau
         a, b = zip(*(_orient(update, tau) for update in updates))
-        return kernels.LabelSearchRounds(self.labels, self.hierarchy, self.mirror), a, b
+        return kernels.LabelSearchRounds(self.graph, self.labels, self.hierarchy), a, b
 
     def _land_weights(self, updates: Sequence[EdgeUpdate]) -> None:
         for update in updates:

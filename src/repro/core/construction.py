@@ -47,13 +47,6 @@ failure and mid-build exceptions all leave ``/dev/shm`` clean.  The builder
 pool itself is torn down at the end of :meth:`ParallelBuilder.build`, before
 any :class:`repro.core.parallel.ProcessShardBackend` is (lazily) created for
 maintenance, so the two pools never coexist.
-
-Where numpy is present the per-root searches switch to a vectorised
-adjacency-scan variant over a CSR mirror of the graph
-(:func:`repro.core.kernels.adjacency_csr`) -- gated, like every kernel in
-:mod:`repro.core.kernels`, on the spans actually paying for the call
-overhead: rows shorter than ``VECTOR_MIN_SPAN`` neighbours (every planar
-road network) stay on the scalar loop, which is faster there.
 """
 
 from __future__ import annotations
@@ -70,13 +63,7 @@ from multiprocessing import shared_memory
 from typing import Any, Sequence
 
 from repro.algorithms.dijkstra import dijkstra_rank_restricted_into
-from repro.core.kernels import (
-    HAS_NUMPY,
-    VECTOR_MIN_SPAN,
-    _np,
-    adjacency_csr,
-    fill_unreachable,
-)
+from repro.core.kernels import fill_unreachable
 from repro.core.labelling import ENTRY_BYTES, STLLabels, build_labels, label_offsets
 from repro.core.parallel import _attach_segment, _pick_start_method
 from repro.graph.graph import Graph
@@ -178,7 +165,7 @@ def build_index(
 
 
 # --------------------------------------------------------------------------- #
-# Per-root label searches (scalar + gated vector variant)
+# Per-root label searches
 # --------------------------------------------------------------------------- #
 
 
@@ -193,85 +180,13 @@ def run_label_roots(
 
     ``entries`` is either a private ``array('d')`` or a ``'d'`` memoryview
     over the shared segment -- the write target is the only difference
-    between the serial and parallel label phases.  Dispatches to the
-    vectorised adjacency-scan variant when numpy is present *and* the graph
-    has rows long enough to pay for it; returns the number of entries
-    written.
+    between the serial and parallel label phases.  Returns the number of
+    entries written.
     """
     adjacency = graph.adjacency()
-    if HAS_NUMPY and adjacency and max(len(row) for row in adjacency) >= VECTOR_MIN_SPAN:
-        csr = adjacency_csr(graph)
-        if csr is not None:
-            return _run_label_roots_vector(csr, roots, tau, entries, offsets)
     written = 0
     for r in roots:
         written += dijkstra_rank_restricted_into(adjacency, r, tau, entries, offsets, tau[r])
-    return written
-
-
-def _run_label_roots_vector(
-    csr: tuple[Any, Any, Any],
-    roots: Sequence[int],
-    tau: Sequence[int],
-    entries: Any,
-    offsets: Sequence[int],
-) -> int:
-    """Vectorised per-root searches over a CSR adjacency mirror.
-
-    The Dijkstra control flow (heap, settle-time write, strict-improvement
-    pushes) is unchanged; what vectorises is the relaxation of one popped
-    vertex's whole neighbour row: gather current distances, compute
-    ``d + w`` for the row in one float64 ufunc (bit-identical to the scalar
-    sum), mask by the rank restriction and strict improvement, scatter the
-    survivors.  Rows shorter than :data:`VECTOR_MIN_SPAN` run the scalar
-    inner loop -- on road networks that is every row, which is why the
-    caller gates on the maximum row span before choosing this variant.
-    Per-root state resets by epoch stamping instead of refilling the dense
-    distance array.
-    """
-    indptr, neighbors, weights = csr
-    n = len(indptr) - 1
-    rank = _np.asarray(tau, dtype=_np.int64)
-    dist = _np.empty(n, dtype=_np.float64)
-    stamp = _np.zeros(n, dtype=_np.int64)
-    epoch = 0
-    written = 0
-    for r in roots:
-        epoch += 1
-        threshold = tau[r]
-        index = tau[r]
-        dist[r] = 0.0
-        stamp[r] = epoch
-        heap: list[tuple[float, int]] = [(0.0, r)]
-        while heap:
-            d, v = heappop(heap)
-            if d > dist[v]:
-                continue
-            entries[offsets[v] + index] = d
-            written += 1
-            lo = indptr[v]
-            hi = indptr[v + 1]
-            if hi - lo >= VECTOR_MIN_SPAN:
-                nb = neighbors[lo:hi]
-                nd = d + weights[lo:hi]
-                current = _np.where(stamp[nb] == epoch, dist[nb], _np.inf)
-                improved = (rank[nb] >= threshold) & (nd < current)
-                nb = nb[improved]
-                nd = nd[improved]
-                dist[nb] = nd
-                stamp[nb] = epoch
-                for x, dx in zip(nb.tolist(), nd.tolist()):
-                    heappush(heap, (dx, x))
-            else:
-                for k in range(lo, hi):
-                    x = int(neighbors[k])
-                    if rank[x] < threshold:
-                        continue
-                    dx = d + float(weights[k])
-                    if stamp[x] != epoch or dx < dist[x]:
-                        dist[x] = dx
-                        stamp[x] = epoch
-                        heappush(heap, (dx, x))
     return written
 
 

@@ -20,8 +20,7 @@ This module is that payoff:
 * :class:`LabelSearchRounds` runs the batched Label Search engine's two
   passes for *all label indexes of a coalesced batch at once*, as
   level-synchronous rounds over flat entry positions of the label store and
-  a CSR mirror of the adjacency (:class:`AdjacencyMirror`, kept current from
-  the graph's weight log).
+  the graph's own CSR arrays (:meth:`repro.graph.graph.Graph.csr`).
 
 numpy is an *optional* dependency (install the ``repro[fast]`` extra): every
 entry point has a pure-Python fallback selected at import time, and the
@@ -47,13 +46,13 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.utils.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.labelling import STLLabels
+    from repro.graph.graph import Graph
     from repro.hierarchy.tree import StableTreeHierarchy
 
 try:  # pragma: no cover - exercised via both CI legs, not branch coverage
@@ -460,92 +459,6 @@ def fill_unreachable(view: memoryview) -> None:
         raw[nbytes - rest :] = _INF_CHUNK[:rest]
 
 
-def adjacency_csr(graph: Any) -> tuple[Any, Any, Any] | None:
-    """CSR ndarray mirror of a graph's adjacency: ``(indptr, neighbors, weights)``.
-
-    Row ``v`` is ``neighbors[indptr[v]:indptr[v+1]]`` with parallel edge
-    weights.  Used by the parallel builder's vectorised per-root adjacency
-    scans -- which only engage when some row spans at least
-    :data:`VECTOR_MIN_SPAN` neighbours, so bounded-degree road networks stay
-    on the scalar search where the numpy call overhead would lose -- and,
-    through :class:`AdjacencyMirror`, by the batched Label Search rounds.
-    Built with two ``numpy.fromiter`` passes (row lengths, then the
-    flattened ``(neighbour, weight)`` pairs).  Returns ``None`` without
-    numpy.
-    """
-    if not HAS_NUMPY:
-        return None
-    adjacency = graph.adjacency()
-    indptr = _np.zeros(len(adjacency) + 1, dtype=_np.int64)
-    _np.cumsum(
-        _np.fromiter(map(len, adjacency), dtype=_np.int64, count=len(adjacency)),
-        out=indptr[1:],
-    )
-    arcs = _np.fromiter(
-        chain.from_iterable(adjacency),
-        dtype=[("neighbor", _np.int64), ("weight", _np.float64)],
-        count=int(indptr[-1]),
-    )
-    return indptr, _np.ascontiguousarray(arcs["neighbor"]), _np.ascontiguousarray(arcs["weight"])
-
-
-class AdjacencyMirror:
-    """One CSR mirror of a graph's adjacency, kept current by its weight log.
-
-    :meth:`refresh` returns ``(indptr, neighbors, weights)`` reflecting the
-    graph *now*: the arrays are built once per topology
-    (``graph.structure_version``) and afterwards only the weights written
-    since the previous refresh are patched in, read from
-    ``graph.weight_changes_since(cursor)`` -- so every writer is seen
-    (batch engines, per-update ``apply_update`` calls, ``inf`` closures,
-    rebuild fallbacks) without any of them knowing the mirror exists.  A
-    trimmed log (``None``) or an added edge forces a full rebuild.
-    """
-
-    def __init__(self, graph: Any):
-        self.graph = graph
-        self._csr: tuple[Any, Any, Any] | None = None
-        self._structure = -1
-        self._cursor = 0
-        #: Arc ids sorted by ``source * n + target`` and the sorted keys:
-        #: the lookup that turns a logged ``(u, v)`` into its two arcs.
-        self._arc_lookup: tuple[Any, Any] | None = None
-
-    def refresh(self) -> tuple[Any, Any, Any]:
-        graph = self.graph
-        changes = None
-        if self._csr is not None and self._structure == graph.structure_version:
-            changes = graph.weight_changes_since(self._cursor)
-        if changes is None:
-            self._structure = graph.structure_version
-            self._csr = adjacency_csr(graph)
-            self._arc_lookup = None
-        elif changes:
-            self._patch(changes)
-        self._cursor = graph.weight_log_position()
-        assert self._csr is not None
-        return self._csr
-
-    def _patch(self, changes: Sequence[tuple[int, int, float]]) -> None:
-        assert self._csr is not None
-        indptr, neighbors, weights = self._csr
-        n = len(indptr) - 1
-        if self._arc_lookup is None:
-            sources = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
-            keys = sources * n + neighbors
-            order = _np.argsort(keys)
-            self._arc_lookup = (order, keys[order])
-        order, sorted_keys = self._arc_lookup
-        # The log is oldest-first and may repeat an edge; the dict keeps each
-        # edge's last write (repeated indexes in one fancy assignment have
-        # no guaranteed winner).
-        latest = {(u, v): w for u, v, w in changes}
-        ends = _np.array(list(latest), dtype=_np.int64).reshape(len(latest), 2)
-        value = _np.fromiter(latest.values(), dtype=_np.float64, count=len(latest))
-        for a, b in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
-            weights[order[_np.searchsorted(sorted_keys, a * n + b)]] = value
-
-
 # --------------------------------------------------------------------------- #
 # Frontier-synchronous Label Search (the batched engine's vector kernels)
 # --------------------------------------------------------------------------- #
@@ -578,7 +491,7 @@ class LabelSearchRounds:
     index of a batch one search: searches under different ancestors never
     share a position, so a frontier is just an array of ``(vertex,
     position)`` pairs and a round is a dozen array operations over the arcs
-    leaving it (gathered from an :class:`AdjacencyMirror`), in chunks of
+    leaving it (gathered from the graph's CSR arrays), in chunks of
     :data:`_FRONTIER_CHUNK_ENTRIES`.  An arc ``v -> u`` carries index ``i``
     only while ``tau(u) > i`` -- ``u`` is then a proper descendant of the
     ancestor and ``offsets[u] + i`` exists -- exactly the restriction of the
@@ -596,21 +509,20 @@ class LabelSearchRounds:
     entries placed on them.
     """
 
-    def __init__(
-        self, labels: "STLLabels", hierarchy: "StableTreeHierarchy", mirror: AdjacencyMirror
-    ):
+    def __init__(self, graph: "Graph", labels: "STLLabels", hierarchy: "StableTreeHierarchy"):
         self.entries, self.offsets = label_arrays(labels)
         arrays = hierarchy_arrays(hierarchy)
         self.tau = (
             arrays["tau"] if arrays is not None else _np.asarray(hierarchy.tau, dtype=_np.int64)
         )
-        self.mirror = mirror
+        # Live views: the graph writes every weight change into ``weights``
+        # in place, so the rounds always read the current weights.
+        indptr, neighbors, weights = graph.csr()
+        self.indptr = _np.frombuffer(indptr, dtype=_np.int64)
+        self.neighbors = _np.frombuffer(neighbors, dtype=_np.int64)
+        self.weights = _np.frombuffer(weights, dtype=_np.float64)
         self.rounds = 0
         self.enqueued = 0
-
-    def _sync(self) -> None:
-        """Bring the adjacency arrays up to the graph's current weights."""
-        self.indptr, self.neighbors, self.weights = self.mirror.refresh()
 
     # -- shared pieces ------------------------------------------------------ #
 
@@ -691,7 +603,6 @@ class LabelSearchRounds:
         over-marking only costs repair work.  Returns the boolean mask over
         entry positions and the number of distinct label indexes seeded.
         """
-        self._sync()
         marked = _np.zeros(len(self.entries), dtype=bool)
         found_v: list[Any] = []
         found_p: list[Any] = []
@@ -733,7 +644,6 @@ class LabelSearchRounds:
         entries to the fixed point.  Returns the number of marked entries,
         all of which were rewritten.
         """
-        self._sync()
         affected = _np.flatnonzero(marked)
         owners = _np.searchsorted(self.offsets, affected, side="right") - 1
         for part in self._chunks(len(affected)):
@@ -767,7 +677,6 @@ class LabelSearchRounds:
         from them.  Returns the number of distinct label indexes seeded and
         of distinct entries rewritten.
         """
-        self._sync()
         found_v: list[Any] = []
         found_p: list[Any] = []
         found_d: list[Any] = []

@@ -16,16 +16,11 @@ same bytes the coordinator sees.  From then on **no label data is ever
 shipped in either direction**; per batch the coordinator ships only
 
 * the worker's shard sub-batches (the update records themselves), and
-* *weight deltas*: the ``(u, v, new_weight)`` triples written to the master
-  graph since the worker's adjacency mirror was last synced, filtered to
-  edges incident to its owned vertices (the graph keeps a bounded write log,
-  :meth:`repro.graph.graph.Graph.weight_changes_since`; if the log was
-  trimmed past a worker's cursor, or the topology changed, the coordinator
-  falls back to re-shipping that worker's owned adjacency rows wholesale).
-
-Deltas carry absolute weights, so replaying one twice is idempotent -- a
-worker that sat out several batches catches up from its cursor without
-ordering hazards.
+* the adjacency rows of the worker's owned vertices at the master graph's
+  current weights -- once before the mark round and once more, with the
+  batch's weights landed, before the decrease round.  A worker keeps no
+  adjacency state of its own between batches, so whatever wrote the master
+  graph in between, the worker sees it.
 
 **Ownership and race freedom.**  Each worker owns the
 :class:`repro.core.shard.ShardPlanner` regions assigned to it (``region_id %
@@ -81,11 +76,11 @@ state -- serial composition of exact engines is exact.
  #    phase                                                    where
 ====  =======================================================  ===========
  1    plan batch into per-region sub-batches + residual        coordinator
- 2    sync adjacency deltas, confined increase mark searches   workers
+ 2    ship owned rows, confined increase mark searches         workers
  3    settle mark escapes, merge marks in batch order,         coordinator
       apply increase weights, one combined bump-and-repair
       (writes land in the shared mapping)
- 4    sync this batch's weight deltas, confined                workers
+ 4    ship owned rows with this batch's weights, confined      workers
       shared-frontier decrease writing owned rows in place
  5    settle decrease escapes                                  coordinator
  6    residual sub-batch through the serial engine             coordinator
@@ -188,7 +183,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 def _worker_init(payload: dict[str, Any]) -> dict[str, Any]:
-    """Map the shared label segment and mirror the owned adjacency rows."""
+    """Map the shared label segment."""
     segment = _attach_segment(payload["segment"])
     nbytes = payload["num_entries"] * ENTRY_BYTES
     entries = segment.buf[:nbytes].cast("d")
@@ -199,9 +194,7 @@ def _worker_init(payload: dict[str, Any]) -> dict[str, Any]:
         "segment": segment,
         "labels": labels,
         "tau": payload["tau"],
-        "owned": payload["owned"],
         "owned_set": set(payload["owned"]),
-        "adjacency": payload["adjacency"],
     }
 
 
@@ -212,35 +205,6 @@ def _worker_teardown(state: dict[str, Any]) -> None:
         state["segment"].close()
     except BufferError:  # pragma: no cover - stray export; mapping dies with us
         pass
-
-
-def _apply_weight_deltas(
-    adjacency: dict[int, list[tuple[int, float]]],
-    deltas: Sequence[tuple[int, int, float]],
-) -> None:
-    """Replay absolute-weight writes into the owned adjacency mirror.
-
-    Rows for unowned endpoints are simply absent from the mirror and
-    skipped; replaying a delta twice is a no-op by construction.
-    """
-    for a, b, weight in deltas:
-        for x, y in ((a, b), (b, a)):
-            row = adjacency.get(x)
-            if row is None:
-                continue
-            for pos, (nbr, _) in enumerate(row):
-                if nbr == y:
-                    row[pos] = (y, weight)
-                    break
-
-
-def _worker_sync(state: dict[str, Any], task: dict[str, Any]) -> None:
-    """Bring the adjacency mirror up to date from a sync payload."""
-    rows = task.get("adjacency")
-    if rows is not None:
-        state["adjacency"] = rows
-    else:
-        _apply_weight_deltas(state["adjacency"], task["weight_deltas"])
 
 
 def _worker_mark_phase(state: dict[str, Any]) -> dict[str, Any]:
@@ -281,8 +245,8 @@ def _worker_decrease_phase(state: dict[str, Any]) -> dict[str, Any]:
     Label writes go straight into the shared mapping -- only rows of owned
     vertices, which no other process touches during this phase.  The
     starting state is the coordinator's post-increase repair, already
-    visible through the mapping; the adjacency mirror was synced with this
-    batch's weight writes by the accompanying sync payload.
+    visible through the mapping; the owned rows arrived with this batch's
+    weights landed.
     """
     owned = state["owned_set"]
     tau = state["tau"]
@@ -313,7 +277,7 @@ def _worker_ls_mark_phase(state: dict[str, Any]) -> dict[str, Any]:
 
     Read-only on the labels (the whole shared mapping is safely readable --
     nobody writes during round 1), adjacency reads confined to the owned
-    mirror.  Escapes stay gated on the old-shortest-path predicate, exactly
+    rows.  Escapes stay gated on the old-shortest-path predicate, exactly
     like the unconfined drain; affected sets ship back as sorted lists so
     the reply pickles deterministically.
     """
@@ -371,11 +335,11 @@ def _worker_ls_decrease_phase(state: dict[str, Any]) -> dict[str, Any]:
 def _region_worker_main(conn: Any) -> None:
     """Worker process main loop: two request/reply rounds per batch.
 
-    Messages: ``("init", payload)`` maps the shared label segment and the
-    owned adjacency mirror once, at pool startup; ``("batch", task)`` syncs
-    weight deltas and runs the mark phase of the task's engine (Pareto
-    interval marks or Label Search phase 1); ``("decreases", sync)`` applies
-    this batch's weight writes and runs the same engine's decrease phase;
+    Messages: ``("init", payload)`` maps the shared label segment once, at
+    pool startup; ``("batch", task)`` takes the owned rows and runs the mark
+    phase of the task's engine (Pareto interval marks or Label Search phase
+    1); ``("decreases", rows)`` takes the owned rows with this batch's
+    weights landed and runs the same engine's decrease phase;
     ``("exit",)`` unmaps and terminates.  Any exception is reported back as
     ``("error", traceback)`` so the coordinator can raise instead of hanging.
     """
@@ -398,7 +362,7 @@ def _region_worker_main(conn: Any) -> None:
                 if state is None:
                     raise RuntimeError("batch received before init")
                 task = message[1]
-                _worker_sync(state, task)
+                state["adjacency"] = task["adjacency"]
                 state["increases"] = task["increases"]
                 state["decreases"] = task["decreases"]
                 state["engine"] = task.get("engine", "pareto")
@@ -409,7 +373,7 @@ def _region_worker_main(conn: Any) -> None:
             elif kind == "decreases":
                 if state is None:
                     raise RuntimeError("decrease round received before init")
-                _worker_sync(state, message[1])
+                state["adjacency"] = message[1]
                 if state.get("engine") == "label_search":
                     conn.send(("ok", _worker_ls_decrease_phase(state)))
                 else:
@@ -496,16 +460,15 @@ class ProcessShardBackend:
 
     Workers are created lazily on the first non-degenerate batch; pool
     startup moves the labels into one shared-memory segment
-    (``segment_name``) that every worker maps, and ships each worker its
-    owned adjacency rows once.  After that, batches ship only update
-    records and weight deltas.  Workers stay bound to their planner
-    regions until :meth:`close` (regions are topology-only, so the
-    assignment never goes stale); ``close`` detaches the labels back onto
-    private memory and unlinks the segment.  ``max_workers`` caps the
-    pool; with fewer workers than regions, a worker owns several regions
-    -- sound, because regions only touch through the separator, so
-    confinement over the union behaves exactly like per-region
-    confinement.
+    (``segment_name``) that every worker maps.  After that, batches ship
+    only update records and each worker's owned adjacency rows.  Workers
+    stay bound to their planner regions until :meth:`close` (regions are
+    topology-only, so the assignment never goes stale); ``close`` detaches
+    the labels back onto private memory and unlinks the segment.
+    ``max_workers`` caps the pool; with fewer workers than regions, a
+    worker owns several regions -- sound, because regions only touch
+    through the separator, so confinement over the union behaves exactly
+    like per-region confinement.
     """
 
     name = "process"
@@ -538,9 +501,6 @@ class ProcessShardBackend:
         self._owned_sets: list[set[int]] = []
         self._shm: shared_memory.SharedMemory | None = None
         self._segment_name: str | None = None
-        # Per-worker adjacency-mirror cursors into the graph's write log.
-        self._sync_positions: list[int] = []
-        self._sync_structures: list[int] = []
 
     # ------------------------------------------------------------------ #
     # Pool lifecycle
@@ -592,11 +552,8 @@ class ProcessShardBackend:
             owned_lists[rid % count].extend(region)
         self._owned_sets = [set(owned) for owned in owned_lists]
 
-        adjacency = self.graph.adjacency()
         offsets_bytes = self.labels.offsets.tobytes()
         tau = list(self.hierarchy.tau)
-        position = self.graph.weight_log_position()
-        structure = self.graph.structure_version
         self._workers = [_RegionWorker(self._context, k) for k in range(count)]
         try:
             for k, worker in enumerate(self._workers):
@@ -609,7 +566,6 @@ class ProcessShardBackend:
                             "offsets": offsets_bytes,
                             "tau": tau,
                             "owned": owned_lists[k],
-                            "adjacency": {v: list(adjacency[v]) for v in owned_lists[k]},
                         },
                     )
                 )
@@ -618,8 +574,6 @@ class ProcessShardBackend:
         except BaseException:
             self.close()
             raise
-        self._sync_positions = [position] * count
-        self._sync_structures = [structure] * count
 
     def rebind(self, labels: STLLabels) -> None:
         """Re-point the backend at a different label store (snapshot swap).
@@ -649,8 +603,6 @@ class ProcessShardBackend:
             self._workers = None
             self._worker_of_region = []
             self._owned_sets = []
-            self._sync_positions = []
-            self._sync_structures = []
         if self._shm is not None:
             self.labels.unshare()
             try:
@@ -670,43 +622,13 @@ class ProcessShardBackend:
             pass
 
     # ------------------------------------------------------------------ #
-    # Delta shipping
+    # Adjacency shipping
     # ------------------------------------------------------------------ #
 
-    def _sync_payload(self, widx: int, stats: MaintenanceStats) -> dict[str, Any]:
-        """Weight deltas (or a full row resync) for one worker's mirror.
-
-        Advances the worker's cursor to the present; absolute weights make
-        re-shipping across overlapping payloads harmless.
-        """
-        graph = self.graph
-        changes: list[tuple[int, int, float]] | None
-        if self._sync_structures[widx] != graph.structure_version:
-            changes = None  # topology changed; the delta log cannot express it
-        else:
-            changes = graph.weight_changes_since(self._sync_positions[widx])
-        owned = self._owned_sets[widx]
-        payload: dict[str, Any]
-        if changes is None:
-            adjacency = graph.adjacency()
-            payload = {
-                "adjacency": {v: list(adjacency[v]) for v in sorted(owned)},
-                "weight_deltas": [],
-            }
-            stats.extra["adjacency_resyncs"] = stats.extra.get("adjacency_resyncs", 0) + 1
-        else:
-            merged: dict[tuple[int, int], float] = {}
-            for a, b, weight in changes:
-                if a in owned or b in owned:
-                    merged[(a, b)] = weight
-            deltas = [(a, b, weight) for (a, b), weight in merged.items()]
-            payload = {"weight_deltas": deltas}
-            stats.extra["shipped_weight_deltas"] = (
-                stats.extra.get("shipped_weight_deltas", 0) + len(deltas)
-            )
-        self._sync_positions[widx] = graph.weight_log_position()
-        self._sync_structures[widx] = graph.structure_version
-        return payload
+    def _owned_rows(self, widx: int) -> dict[int, list[tuple[int, float]]]:
+        """One worker's owned adjacency rows at the graph's current weights."""
+        adjacency = self.graph.adjacency()
+        return {v: list(adjacency[v]) for v in self._owned_sets[widx]}
 
     # ------------------------------------------------------------------ #
     # Batch application
@@ -747,10 +669,10 @@ class ProcessShardBackend:
         stats.extra["process_workers"] = len(tasks)
 
         try:
-            # Round 1 (parallel): sync mirrors to the pre-batch state, then
+            # Round 1 (parallel): owned rows at the pre-batch weights, then
             # confined increase marks.
             for widx, task in tasks.items():
-                task.update(self._sync_payload(widx, stats))
+                task["adjacency"] = self._owned_rows(widx)
                 workers[widx].send(("batch", task))
             mark_replies = {widx: workers[widx].recv(self.reply_timeout) for widx in tasks}
 
@@ -775,7 +697,7 @@ class ProcessShardBackend:
             # rows into the shared mapping, then escape settlement.
             decrease_tasks = {widx: task for widx, task in tasks.items() if task["decreases"]}
             if decrease_tasks:
-                stats.merge(self._run_decreases(decrease_tasks, workers, stats, engine))
+                stats.merge(self._run_decreases(decrease_tasks, workers, engine))
         except BaseException:
             # A failed or timed-out round leaves replies of this batch
             # buffered in the pipes; a retry against the same pool would
@@ -950,18 +872,17 @@ class ProcessShardBackend:
         self,
         decrease_tasks: dict[int, dict[str, Any]],
         workers: list[_RegionWorker],
-        batch_stats: MaintenanceStats,
         engine: str = "pareto",
     ) -> MaintenanceStats:
         stats = MaintenanceStats()
         # All sharded decrease weights go into the master graph first, so
-        # the sync payloads below carry them to the workers that relax them
-        # (and, via later syncs, to everyone else).
+        # the owned rows shipped below carry them to the workers that relax
+        # them.
         for task in decrease_tasks.values():
             for u, v, _old, new in task["decreases"]:
                 self.graph.set_weight(u, v, new)
         for widx in decrease_tasks:
-            workers[widx].send(("decreases", self._sync_payload(widx, batch_stats)))
+            workers[widx].send(("decreases", self._owned_rows(widx)))
 
         if engine == "label_search":
             ls_escapes: list[LabelSearchEscape] = []

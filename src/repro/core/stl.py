@@ -141,15 +141,7 @@ class StableTreeLabelling:
             self._decrease = LabelSearchDecrease(self.graph, self.hierarchy, self.labels)
             self._increase = LabelSearchIncrease(self.graph, self.hierarchy, self.labels)
         self._batch_engine = BatchedParetoEngine(self.graph, self.hierarchy, self.labels)
-        # The adjacency mirror of the vector kernels follows the graph, not
-        # the labels, so it survives mode switches and label adoption.
-        previous = getattr(self, "_ls_batch_engine", None)
-        self._ls_batch_engine = BatchedLabelSearchEngine(
-            self.graph,
-            self.hierarchy,
-            self.labels,
-            mirror=previous.mirror if previous and previous.graph is self.graph else None,
-        )
+        self._ls_batch_engine = BatchedLabelSearchEngine(self.graph, self.hierarchy, self.labels)
         # The shard planner's regions are topology-only, so switching
         # maintenance modes keeps the (lazily computed) plan regions; the
         # bisection is only paid on the first sharded batch.  The process

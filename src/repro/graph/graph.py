@@ -11,11 +11,20 @@ change over time via :meth:`Graph.set_weight`.  Structural changes (Section 8
 of the paper) are modelled on top of this by setting weights to infinity
 (deletion) or by rebuilding sub-hierarchies (insertion, see
 ``repro.core.structural``).
+
+Beside the lists the graph keeps the same adjacency as flat CSR arrays
+(:meth:`Graph.csr`), which the array kernels read through zero-copy views.
+They are built on first request, and from then on every weight write
+updates both arcs of its edge in place, so a view taken once always shows
+the current weights.  Adding a new edge drops them; the next request
+rebuilds them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from repro.utils.errors import EdgeNotFoundError, GraphError
@@ -50,9 +59,7 @@ class Graph:
         "_edge_index",
         "_coordinates",
         "_num_edges",
-        "_weight_log",
-        "_log_start",
-        "_structure_version",
+        "_csr",
     )
 
     def __init__(self, num_vertices: int, coordinates: Sequence[tuple[float, float]] | None = None):
@@ -62,11 +69,9 @@ class Graph:
         # (u, v) with u < v  ->  position of v in adjacency[u]
         self._edge_index: dict[tuple[int, int], int] = {}
         self._num_edges = 0
-        # Bounded log of weight writes, consumed by observers (the resident
-        # process-pool workers) that mirror adjacency state incrementally.
-        self._weight_log: list[tuple[int, int, float]] = []
-        self._log_start = 0
-        self._structure_version = 0
+        # (indptr, neighbors, weights) in adjacency-list order, or None
+        # until first requested (see :meth:`csr`).
+        self._csr: tuple[array, array, array] | None = None
         if coordinates is not None:
             coordinates = [(float(x), float(y)) for x, y in coordinates]
             if len(coordinates) != num_vertices:
@@ -127,7 +132,7 @@ class Graph:
         self._adjacency[u].append((v, weight))
         self._adjacency[v].append((u, weight))
         self._num_edges += 1
-        self._structure_version += 1
+        self._csr = None
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
@@ -152,26 +157,19 @@ class Graph:
         a, b = key
         pos = self._edge_index[key]
         self._adjacency[a][pos] = (b, weight)
-        self._log_weight_write(a, b, weight)
         # The reverse entry has to be located by scanning b's adjacency once;
         # road networks have tiny degrees so the scan is effectively O(1).
         adj_b = self._adjacency[b]
         for i, (nbr, _) in enumerate(adj_b):
             if nbr == a:
                 adj_b[i] = (a, weight)
-                return
-        raise AssertionError("edge index out of sync with adjacency lists")
-
-    def _log_weight_write(self, a: int, b: int, weight: float) -> None:
-        log = self._weight_log
-        log.append((a, b, weight))
-        # Keep the log bounded: once it outgrows the graph itself, drop the
-        # older half.  Observers whose cursor falls before the trimmed start
-        # get ``None`` from :meth:`weight_changes_since` and must resync.
-        if len(log) > max(256, 2 * self._num_edges):
-            drop = len(log) // 2
-            del log[:drop]
-            self._log_start += drop
+                break
+        else:
+            raise AssertionError("edge index out of sync with adjacency lists")
+        if self._csr is not None:
+            indptr, _, weights = self._csr
+            weights[indptr[a] + pos] = weight
+            weights[indptr[b] + i] = weight
 
     def set_weight(self, u: int, v: int, weight: float) -> float:
         """Set the weight of an existing edge and return the previous weight.
@@ -192,43 +190,6 @@ class Graph:
         old_weight = self._adjacency[key[0]][pos][1]
         self._set_weight_by_key(key, new_weight)
         return old_weight
-
-    # ------------------------------------------------------------------ #
-    # Change log (incremental adjacency mirroring)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def structure_version(self) -> int:
-        """Counter bumped whenever a *new* edge is added.
-
-        Weight writes never change it.  An observer mirroring the adjacency
-        (a resident worker process) compares the version it last saw against
-        the current one: a mismatch means the topology changed, so the
-        weight-delta log alone cannot bring its mirror up to date and a full
-        resync of the affected rows is required.
-        """
-        return self._structure_version
-
-    def weight_log_position(self) -> int:
-        """Monotone cursor over all weight writes ever applied.
-
-        Capture it before handing adjacency state to an observer; later,
-        :meth:`weight_changes_since` returns exactly the writes that happened
-        after the capture.
-        """
-        return self._log_start + len(self._weight_log)
-
-    def weight_changes_since(self, position: int) -> list[tuple[int, int, float]] | None:
-        """Weight writes applied since ``position``, oldest first.
-
-        Each item is ``(u, v, weight)`` with ``u < v`` -- the *absolute* new
-        weight, so replaying a change twice is idempotent.  Returns ``None``
-        when the log has been trimmed past ``position`` (the caller must
-        resync from the full adjacency instead).
-        """
-        if position < self._log_start:
-            return None
-        return self._weight_log[position - self._log_start :]
 
     # ------------------------------------------------------------------ #
     # Neighbour access
@@ -256,15 +217,43 @@ class Graph:
         """The raw adjacency structure (read-only by convention)."""
         return self._adjacency
 
+    def csr(self) -> tuple[array, array, array]:
+        """The adjacency as CSR arrays ``(indptr, neighbors, weights)``.
+
+        Row ``v`` is ``neighbors[indptr[v]:indptr[v + 1]]`` with the arc
+        weights beside it in ``weights``, both in the order of
+        ``adjacency()[v]``.  ``indptr`` and ``neighbors`` are ``array('q')``
+        and never change; ``weights`` is an ``array('d')`` that every weight
+        write updates in place.  Read-only by convention, like
+        :meth:`adjacency`.  Built on the first call after construction or
+        after an :meth:`add_edge` of a new edge.
+        """
+        if self._csr is None:
+            rows = self._adjacency
+            self._csr = (
+                array("q", accumulate(map(len, rows), initial=0)),
+                array("q", [nbr for row in rows for nbr, _ in row]),
+                array("d", [w for row in rows for _, w in row]),
+            )
+        return self._csr
+
     # ------------------------------------------------------------------ #
     # Derived graphs
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "Graph":
         """Deep copy of the graph (topology, weights and coordinates)."""
-        clone = Graph(self.num_vertices, self._coordinates)
-        for u, v, w in self.edges():
-            clone.add_edge(u, v, w)
+        clone = Graph.__new__(Graph)
+        clone._adjacency = [row.copy() for row in self._adjacency]
+        clone._edge_index = self._edge_index.copy()
+        clone._num_edges = self._num_edges
+        clone._coordinates = None if self._coordinates is None else list(self._coordinates)
+        # indptr and neighbors are never written in place, so the clone
+        # shares them; only the weights are its own.
+        clone._csr = None
+        if self._csr is not None:
+            indptr, neighbors, weights = self._csr
+            clone._csr = (indptr, neighbors, weights[:])
         return clone
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:

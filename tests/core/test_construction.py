@@ -32,10 +32,8 @@ from repro.core.construction import (
     build_index,
     normalize_construction,
     resolve_construction,
-    run_label_roots,
 )
-from repro.core.kernels import HAS_NUMPY, VECTOR_MIN_SPAN
-from repro.core.labelling import UNREACHABLE, build_labels, label_offsets
+from repro.core.labelling import UNREACHABLE, label_offsets
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import highway_grid_network, random_connected_graph
 from repro.graph.graph import Graph
@@ -189,6 +187,15 @@ class TestParallelEqualsSerial:
     def test_empty_graph(self):
         assert_parallel_matches_serial(Graph(0))
 
+    def test_dense_complete_graph(self):
+        """Rows far longer than any road network's."""
+        n = 48
+        graph = Graph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                graph.add_edge(u, v, float((u + v) % 7 + 1))
+        assert_parallel_matches_serial(graph, HierarchyOptions(leaf_size=6))
+
     def test_single_leaf_hierarchy(self):
         """Everything fits one leaf: the plan tree never bisects."""
         graph = random_connected_graph(6, 0.2, seed=3)
@@ -220,37 +227,6 @@ class TestParallelEqualsSerial:
         finally:
             serial.close()
             parallel.close()
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="vector construction path requires numpy")
-class TestVectorPath:
-    def test_vector_parity_on_dense_graph(self):
-        """A graph with rows past VECTOR_MIN_SPAN takes the vector variant."""
-        n = VECTOR_MIN_SPAN + 8
-        graph = Graph(n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                graph.add_edge(u, v, float((u * 7 + v * 3) % 11 + 1))
-        hierarchy = build_hierarchy(graph, HierarchyOptions(leaf_size=4))
-        assert max(len(row) for row in graph.adjacency()) >= VECTOR_MIN_SPAN
-        tau = hierarchy.tau
-        offsets = label_offsets(tau)
-        vector_entries = array("d", [UNREACHABLE]) * offsets[-1]
-        roots = list(graph.vertices())
-        written = run_label_roots(graph, roots, tau, vector_entries, offsets)
-        reference = build_labels(graph, hierarchy)
-        assert written == reference.num_entries()
-        for r in roots:
-            for x, d in dijkstra_rank_restricted(graph, r, tau).items():
-                assert vector_entries[offsets[x] + tau[r]] == d
-
-    def test_vector_full_build_matches_serial(self):
-        n = VECTOR_MIN_SPAN + 16
-        graph = Graph(n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                graph.add_edge(u, v, float((u + v) % 7 + 1))
-        assert_parallel_matches_serial(graph, HierarchyOptions(leaf_size=6))
 
 
 class TestSharedMemoryLifecycle:

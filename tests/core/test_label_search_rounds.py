@@ -1,14 +1,16 @@
-"""The vector kernel of batched Label Search and the adjacency mirror under it.
+"""The vector kernel of batched Label Search and the graph arrays under it.
 
 ``tests/core/test_engine_equivalence.py`` holds the vector rounds to the
 scalar heaps on the suite's three workload shapes; this file covers what the
 flat-position formulation could get wrong on its own: ``inf`` entries and
 ``inf`` weights, labels living in shared memory, rewritten (re-associated)
-entries, deep thin frontiers, frontiers wider than one chunk -- and the CSR
-adjacency mirror, which must see every weight write whoever made it.
+entries, deep thin frontiers, frontiers wider than one chunk -- and the
+graph's CSR arrays, which must see every weight write whoever made it.
 """
 
 import math
+import pickle
+from itertools import accumulate
 
 import pytest
 
@@ -166,6 +168,25 @@ class TestVectorKernelCases:
         assert down.labels_changed == rewritten
         assert down.heap_pushes >= rewritten and down.extra["rounds"] > 1
 
+    def test_batches_after_label_adoption(self, small_grid):
+        """The serving layer adopts a shadow store before every commit."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        stl.batch_policy = NO_REBUILD
+        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=1))
+        stl.adopt_labels(stl.labels.snapshot_store())
+        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=2))
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+    def test_engine_built_over_a_stale_graph_state(self, small_grid):
+        """An engine created long after the graph started changing."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        for seed in range(3):
+            stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=seed), config=SCALAR)
+        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
+        batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
+        engine.apply(batch.updates, kernel="vector")
+        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
 
 class TestKernelSelection:
     """Selection is by what the interpreter offers; ``STLConfig.kernel`` pins it."""
@@ -191,96 +212,123 @@ class TestKernelSelection:
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
 
 
-@needs_numpy
-class TestAdjacencyMirror:
-    """The mirror equals a fresh ``adjacency_csr`` after every kind of write."""
+def csr_from_lists(graph: Graph) -> list[list]:
+    """``[indptr, neighbors, weights]`` built from scratch out of the adjacency lists."""
+    rows = graph.adjacency()
+    return [
+        list(accumulate(map(len, rows), initial=0)),
+        [nbr for row in rows for nbr, _ in row],
+        [w for row in rows for _, w in row],
+    ]
+
+
+def first_non_edge(graph: Graph) -> tuple[int, int]:
+    return next(
+        (a, b)
+        for a in graph.vertices()
+        for b in graph.vertices()
+        if a < b and not graph.has_edge(a, b)
+    )
+
+
+class TestGraphArrays:
+    """``Graph.csr()`` equals a from-scratch build after every kind of write.
+
+    Needs no numpy: the graph keeps its arrays on every interpreter, although
+    only the vector kernel reads them.
+    """
 
     @staticmethod
-    def assert_current(mirror, graph):
-        fresh = kernels.adjacency_csr(graph)
-        for mine, theirs in zip(mirror.refresh(), fresh):
-            assert mine.tolist() == theirs.tolist()
-
-    def test_csr_matches_adjacency_lists(self, small_city):
-        indptr, neighbors, weights = kernels.adjacency_csr(small_city)
-        for v, row in enumerate(small_city.adjacency()):
-            lo, hi = indptr[v], indptr[v + 1]
-            assert list(zip(neighbors[lo:hi].tolist(), weights[lo:hi].tolist())) == row
+    def assert_current(graph):
+        assert [list(array) for array in graph.csr()] == csr_from_lists(graph)
 
     def test_follows_every_writer(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
         stl.batch_policy = NO_REBUILD
         graph = stl.graph
-        mirror = stl._ls_batch_engine.mirror
-        self.assert_current(mirror, graph)
+        weights = graph.csr()[2]
+        self.assert_current(graph)
 
         # Batches on either kernel, and on the other engine family.
-        stl.apply_batch(random_mixed_batch(graph, 30, seed=1))
-        self.assert_current(mirror, graph)
-        stl.apply_batch(random_mixed_batch(graph, 30, seed=2), config=STLConfig(engine="pareto"))
-        self.assert_current(mirror, graph)
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=1), config=SCALAR)
+        self.assert_current(graph)
+        if kernels.HAS_NUMPY:
+            stl.apply_batch(random_mixed_batch(graph, 30, seed=2), config=vector_config())
+            self.assert_current(graph)
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=3), config=STLConfig(engine="pareto"))
+        self.assert_current(graph)
 
         # Per-update calls between batches, the same edge written twice.
         u, v, w = next(iter(graph.edges()))
         stl.increase_edge(u, v, w * 2)
         stl.decrease_edge(u, v, w / 2)
-        self.assert_current(mirror, graph)
+        self.assert_current(graph)
 
         # An inf closure and a re-opening through the structural layer.
         structural = StructuralUpdater(stl)
         structural.delete_edge(u, v)
-        self.assert_current(mirror, graph)
+        self.assert_current(graph)
         structural.insert_edge(u, v, w)
-        self.assert_current(mirror, graph)
+        self.assert_current(graph)
 
         # A rebuild fallback writes the weights without any engine.
         forced = STLConfig(policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0))
-        stats = stl.apply_batch(random_mixed_batch(graph, 30, seed=3), config=forced)
+        stats = stl.apply_batch(random_mixed_batch(graph, 30, seed=4), config=forced)
         assert stats.extra["rebuild_fallback"] == 1
-        self.assert_current(mirror, graph)
+        self.assert_current(graph)
 
+        # Every one of those wrote the arrays in place; none rebuilt them.
+        assert graph.csr()[2] is weights
         # ...and the batch after all of that is still exact.
-        stl.apply_batch(random_mixed_batch(graph, 30, seed=4))
+        stl.apply_batch(random_mixed_batch(graph, 30, seed=5))
         assert stl.labels.differences(build_labels(graph, stl.hierarchy)) == []
 
-    def test_trimmed_log_and_new_edge_force_a_rebuild(self, small_grid):
+    def test_new_edge_rebuilds_the_arrays(self, small_grid):
         graph = small_grid.copy()
-        mirror = kernels.AdjacencyMirror(graph)
-        mirror.refresh()
-        u, v, w = next(iter(graph.edges()))
-        for step in range(3 * max(256, 2 * graph.num_edges)):
-            graph.set_weight(u, v, w + step % 5)
-        assert graph.weight_changes_since(0) is None, "the log was never trimmed"
-        self.assert_current(mirror, graph)
-
-        a, b = next(
-            (a, b)
-            for a in graph.vertices()
-            for b in graph.vertices()
-            if a < b and not graph.has_edge(a, b)
-        )
+        before = graph.csr()
+        a, b = first_non_edge(graph)
         graph.add_edge(a, b, 2.5)
+        assert graph.csr() is not before
+        self.assert_current(graph)
+        graph.set_weight(b, a, 4.0)
+        self.assert_current(graph)
+
+    def test_copy_is_independent_both_ways(self, small_grid):
+        graph = small_grid.copy()
+        graph.csr()
+        clone = graph.copy()
+        self.assert_current(clone)
+        u, v, w = next(iter(graph.edges()))
+        graph.set_weight(u, v, w + 1.0)
+        assert clone.weight(u, v) == w
+        clone.set_weight(u, v, math.inf)
+        assert graph.weight(u, v) == w + 1.0
+        for g in (graph, clone):
+            self.assert_current(g)
+        a, b = first_non_edge(graph)
+        clone.add_edge(a, b, 3.0)
+        assert not graph.has_edge(a, b) and graph.num_edges == clone.num_edges - 1
         graph.set_weight(u, v, w)
-        self.assert_current(mirror, graph)
+        for g in (graph, clone):
+            self.assert_current(g)
+        # A copy taken before the arrays exist builds its own on request.
+        fresh = small_grid.copy()
+        fresh.set_weight(u, v, 7.0)
+        self.assert_current(fresh)
+        assert small_grid.weight(u, v) == w
 
-    def test_mirror_survives_label_adoption(self, small_grid):
-        """The serving layer adopts a shadow store before every commit; the
-        mirror follows the graph, so the rebuilt engine keeps it."""
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        stl.batch_policy = NO_REBUILD
-        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=1))
-        mirror = stl._ls_batch_engine.mirror
-        stl.adopt_labels(stl.labels.snapshot_store())
-        assert stl._ls_batch_engine.mirror is mirror
-        stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=2))
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
-
-    def test_engine_built_over_a_stale_graph_state(self, small_grid):
-        """An engine created long after the graph started changing."""
-        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
-        for seed in range(3):
-            stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=seed), config=SCALAR)
-        engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
-        batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
-        engine.apply(batch.updates, kernel="vector")
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+    def test_pickle_round_trip(self, small_grid):
+        """The construction and shard workers receive pickled graphs."""
+        graph = small_grid.copy()
+        u, v, _ = next(iter(graph.edges()))
+        graph.set_weight(u, v, math.inf)
+        for built in (False, True):
+            if built:
+                graph.csr()
+            clone = pickle.loads(pickle.dumps(graph))
+            assert list(clone.edges()) == list(graph.edges())
+            assert clone.coordinates == graph.coordinates
+            self.assert_current(clone)
+            clone.set_weight(u, v, 1.5)
+            self.assert_current(clone)
+            assert math.isinf(graph.weight(u, v))

@@ -431,7 +431,7 @@ class TestSharedMemoryResidency:
             assert serial.labels.equals(par.labels)
             # Interleave: single-edge updates applied through the serial
             # engine path on BOTH indexes (the process pool never sees them
-            # except through the next round's weight-delta sync).
+            # except through the owned rows shipped with the next batch).
             edges = list(serial.graph.edges())
             for _ in range(5):
                 u, v, w = edges[rng.randrange(len(edges))]
@@ -446,23 +446,3 @@ class TestSharedMemoryResidency:
             assert serial.labels.equals(par.labels)
         assert verify_labels(par.graph, par.hierarchy, par.labels) == []
 
-    def test_trimmed_weight_log_forces_adjacency_resync(self, process_pair):
-        """If the master graph's write log overflows between rounds, the next
-        sync must fall back to a full adjacency resync (and stay exact)."""
-        serial, engine, par, backend = process_pair
-        batch = random_mixed_batch(serial.graph, 50, seed=37)
-        engine.apply(batch.coalesce(serial.graph).updates)
-        backend.apply(batch.coalesce(par.graph).updates)
-        # Overflow the bounded log with no-op weight rewrites on both graphs.
-        for graph in (serial.graph, par.graph):
-            edges = list(graph.edges())
-            bound = max(256, 2 * graph.num_edges)
-            for i in range(bound + 10):
-                u, v, w = edges[i % len(edges)]
-                graph.set_weight(u, v, graph.weight(u, v))
-        batch = random_mixed_batch(serial.graph, 50, seed=38)
-        engine.apply(batch.coalesce(serial.graph).updates)
-        stats = backend.apply(batch.coalesce(par.graph).updates)
-        assert stats.extra.get("adjacency_resyncs", 0) > 0
-        assert serial.labels.equals(par.labels)
-        assert verify_labels(par.graph, par.hierarchy, par.labels) == []

@@ -170,46 +170,3 @@ class TestDerivedGraphs:
         assert nx_graph.number_of_nodes() == 3
         assert nx_graph[0][1]["weight"] == 2.0
 
-
-class TestWeightLog:
-    """The bounded write log the resident shard workers sync from."""
-
-    def test_changes_since_capture(self):
-        graph = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
-        position = graph.weight_log_position()
-        graph.set_weight(1, 2, 5.0)
-        graph.set_weight(2, 3, 7.0)
-        assert graph.weight_changes_since(position) == [(1, 2, 5.0), (2, 3, 7.0)]
-        # A later capture sees only later writes.
-        position = graph.weight_log_position()
-        assert graph.weight_changes_since(position) == []
-        graph.set_weight(0, 1, 9.0)
-        assert graph.weight_changes_since(position) == [(0, 1, 9.0)]
-
-    def test_entries_are_normalized_and_absolute(self):
-        graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        position = graph.weight_log_position()
-        graph.set_weight(2, 1, 4.0)  # reversed endpoints normalise to (1, 2)
-        graph.add_edge(1, 0, 6.0)  # overwrite path of add_edge also logs
-        assert graph.weight_changes_since(position) == [(1, 2, 4.0), (0, 1, 6.0)]
-
-    def test_trimmed_log_signals_resync(self):
-        graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        position = graph.weight_log_position()
-        # The log is bounded by max(256, 2 * num_edges); overflow it.
-        for i in range(600):
-            graph.set_weight(0, 1, 1.0 + i)
-        assert graph.weight_changes_since(position) is None
-        # A fresh capture works again after the trim.
-        position = graph.weight_log_position()
-        graph.set_weight(1, 2, 3.5)
-        assert graph.weight_changes_since(position) == [(1, 2, 3.5)]
-
-    def test_structure_version_tracks_new_edges_only(self):
-        graph = Graph.from_edges(3, [(0, 1, 1.0)])
-        version = graph.structure_version
-        graph.set_weight(0, 1, 2.0)
-        graph.add_edge(0, 1, 3.0)  # overwrite, not structural
-        assert graph.structure_version == version
-        graph.add_edge(1, 2, 1.0)
-        assert graph.structure_version == version + 1

@@ -142,50 +142,119 @@ class TestConcurrentClients:
     @pytest.mark.parametrize("engine", ["pareto", "label_search"])
     def test_no_torn_reads_under_update_storm(self, engine):
         """N clients stream queries while batches commit; every answer must
-        match the oracle of the exact generation that produced it."""
+        match the oracle of the exact generation that produced it.
+
+        The clients pause a millisecond between queries, so the event loop
+        idles now and then and the maintenance thread gets the GIL (see
+        :meth:`test_commits_keep_pace_with_spinning_readers` for what
+        happens when they never pause).  They still overlap the storm:
+        replies must show nearly every committed version.  Batches of 5-15
+        distinct edges make a commit outlast a switch interval, so readers
+        also run while one is in flight; a commit that wrote the published
+        store in place fails here on both engines."""
 
         async def scenario():
             graph = grid_road_network(10, 10, seed=9)
             n = graph.num_vertices
             oracle = _Oracle(graph)
-            checked = 0
+            seen: set[int] = set()
+            committed: list[int] = []
             async with QueryService(graph, config=STLConfig(engine=engine)) as service:
                 await service.wait_ready()
                 stop = asyncio.Event()
 
-                async def client(k: int) -> int:
+                async def client(k: int) -> None:
                     rng = random.Random(100 + k)
-                    answered = 0
                     while not stop.is_set():
                         s, t = rng.randrange(n), rng.randrange(n)
                         d, _, version = await service.distance(s, t)
                         oracle.check(s, t, d, version)
-                        answered += 1
-                        await asyncio.sleep(0)
-                    return answered
+                        seen.add(version)
+                        await asyncio.sleep(0.001)
 
                 async def updater() -> None:
                     rng = random.Random(7)
                     edges = list(graph.edges())
-                    current = {(u, v): w for u, v, w in edges}
                     for _ in range(12):
-                        batch = []
-                        for _ in range(rng.randrange(1, 6)):
-                            u, v, _ = edges[rng.randrange(len(edges))]
-                            w = round(rng.uniform(0.5, 40.0), 1)
-                            current[(u, v)] = w
-                            batch.append((u, v, w))
-                        await oracle.submit(service, batch)
+                        batch = [
+                            (u, v, round(rng.uniform(0.5, 40.0), 1))
+                            for u, v, _ in rng.sample(edges, rng.randrange(5, 16))
+                        ]
+                        committed.append(await oracle.submit(service, batch))
                         await asyncio.sleep(0.005)
                     stop.set()
 
-                results = await asyncio.gather(*(client(k) for k in range(6)), updater())
-                checked = sum(r for r in results if isinstance(r, int))
-                assert service.version >= 12  # the storm really swapped
-            return checked
+                await asyncio.gather(*(client(k) for k in range(6)), updater())
+            return seen, committed
 
-        total = run(scenario())
-        assert total > 50  # clients actually overlapped the storm
+        seen, committed = run(scenario())
+        assert len(set(committed)) == 12  # the storm really swapped
+        # The clients overlapped the storm: they read nearly every commit.
+        assert len(seen.intersection(committed)) >= 10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 10: readers and the maintenance thread share one GIL",
+    )
+    def test_commits_keep_pace_with_spinning_readers(self):
+        """Readers that never yield the interpreter must not starve commits.
+
+        A writer commits one-update batches on the ``label_search`` engine
+        without pause, through three rounds of a reader-free phase and a
+        phase beside six in-process readers that loop on ``distance`` with
+        ``sleep(0)``.  Alternating the phases inside one run keeps drift in
+        the box's load out of the comparison.  The floor: beside the
+        readers, at least 80% of the writer's own reader-free rate.
+
+        Measured on a 2-CPU x86 box: 320-750 commits/s reader-free and
+        2-14% of that beside the readers; with a CPU burner on the other
+        core, 30-48%.  Every time the maintenance thread releases the GIL,
+        the spinning loop thread takes it, and getting it back costs up to
+        a switch interval; sharing fairly would at best reach about half.
+        """
+        phase, rounds = 0.2, 3
+
+        async def scenario() -> dict[bool, int]:
+            graph = grid_road_network(10, 10, seed=9)
+            n = graph.num_vertices
+            edges = list(graph.edges())
+            commits = {False: 0, True: 0}
+            contended = False
+            async with QueryService(graph, config=STLConfig(engine="label_search")) as service:
+                await service.wait_ready()
+                done = asyncio.Event()
+
+                async def writer() -> None:
+                    rng = random.Random(7)
+                    while not done.is_set():
+                        u, v, _ = edges[rng.randrange(len(edges))]
+                        await service.submit([(u, v, round(rng.uniform(0.5, 40.0), 1))])
+                        commits[contended] += 1
+
+                async def reader(k: int, stop: asyncio.Event) -> None:
+                    rng = random.Random(k)
+                    while not stop.is_set():
+                        await service.distance(rng.randrange(n), rng.randrange(n))
+                        await asyncio.sleep(0)
+
+                writing = asyncio.create_task(writer())
+                for _ in range(rounds):
+                    await asyncio.sleep(phase)
+                    stop = asyncio.Event()
+                    contended = True
+                    readers = [asyncio.create_task(reader(k, stop)) for k in range(6)]
+                    await asyncio.sleep(phase)
+                    stop.set()
+                    await asyncio.gather(*readers)
+                    contended = False
+                done.set()
+                await writing
+            return commits
+
+        commits = run(scenario())
+        alone, beside = commits[False], commits[True]
+        assert alone > 20, "the reader-free writer is too slow to measure against"
+        assert beside >= 0.8 * alone, f"{beside} commits beside readers, {alone} without"
 
     def test_batch_distance_single_generation(self):
         async def scenario():
