@@ -6,6 +6,7 @@ These tests spawn real worker processes; CI runs them with
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -285,7 +286,7 @@ class TestBackendSelection:
 
 
 class TestSharedMemoryResidency:
-    """Lifecycle and delta-sync behaviour of the resident worker pool."""
+    """Lifecycle and cross-round consistency of the resident worker pool."""
 
     def test_segment_exists_while_pool_lives_and_is_unlinked_on_close(
         self, process_pair
@@ -409,8 +410,8 @@ class TestSharedMemoryResidency:
         assert "process_workers" not in stats.extra, "confined round must run serially"
         assert backend._workers is workers_after_round1, "idle pool must survive"
         assert serial.labels.equals(par.labels)
-        # Round 3: a global batch again; the workers apply it from their
-        # delta-synced adjacency (catching up on round 2's serial writes).
+        # Round 3: a global batch again; the workers apply it from the owned
+        # rows shipped with it (which carry round 2's serial writes).
         batch = random_mixed_batch(serial.graph, 60, seed=36)
         engine.apply(batch.coalesce(serial.graph).updates)
         backend.apply(batch.coalesce(par.graph).updates)
@@ -421,7 +422,7 @@ class TestSharedMemoryResidency:
     def test_delta_sync_survives_interleaved_serial_updates(self, process_pair):
         """Three mixed process rounds with per-update serial writes between
         them: the interleaved writes go through the master graph only, so the
-        workers' resident adjacency must catch up via the weight log."""
+        workers must see them in the owned rows shipped with the next batch."""
         serial, engine, par, backend = process_pair
         rng = random.Random(36)
         for round_ in range(3):
@@ -446,3 +447,21 @@ class TestSharedMemoryResidency:
             assert serial.labels.equals(par.labels)
         assert verify_labels(par.graph, par.hierarchy, par.labels) == []
 
+    def test_process_rounds_keep_the_master_arrays_current(self, process_pair):
+        """The process backend writes the master graph's weights; its CSR
+        arrays, which the vector kernel reads, follow them in place."""
+        serial, engine, par, backend = process_pair
+        weights = par.graph.csr()[2]
+        for seed in (37, 38):
+            batch = random_mixed_batch(serial.graph, 50, seed=seed)
+            engine.apply(batch.coalesce(serial.graph).updates)
+            stats = backend.apply(batch.coalesce(par.graph).updates)
+            assert stats.extra.get("process_workers", 0) > 0
+            rows = par.graph.adjacency()
+            indptr, neighbors, current = par.graph.csr()
+            assert current is weights
+            assert list(indptr) == list(accumulate(map(len, rows), initial=0))
+            assert list(neighbors) == [nbr for row in rows for nbr, _ in row]
+            assert list(current) == [w for row in rows for _, w in row]
+        assert list(weights) == list(serial.graph.csr()[2])
+        assert serial.labels.equals(par.labels)

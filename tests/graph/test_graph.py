@@ -170,3 +170,80 @@ class TestDerivedGraphs:
         assert nx_graph.number_of_nodes() == 3
         assert nx_graph[0][1]["weight"] == 2.0
 
+
+
+class TestCSRArrays:
+    """``Graph.csr()``: the adjacency lists as flat arrays, kept current in place."""
+
+    def test_layout_follows_adjacency_lists(self):
+        graph = Graph.from_edges(5, [(0, 1, 1.0), (2, 0, 2.5), (1, 2, 4.0), (3, 1, 0.0)])
+        indptr, neighbors, weights = graph.csr()
+        assert (indptr.typecode, neighbors.typecode, weights.typecode) == ("q", "q", "d")
+        # Vertex 4 is isolated: an empty row at the end.
+        assert list(indptr) == [0, 2, 5, 7, 8, 8]
+        for v in graph.vertices():
+            row = slice(indptr[v], indptr[v + 1])
+            assert list(zip(neighbors[row], weights[row])) == graph.neighbors(v)
+        # Built once, then handed out again.
+        assert graph.csr() is graph.csr()
+
+    def test_empty_and_edgeless_graphs(self):
+        assert [list(a) for a in Graph(0).csr()] == [[0], [], []]
+        assert [list(a) for a in Graph(3).csr()] == [[0, 0, 0, 0], [], []]
+
+    def test_writes_update_both_arcs_in_place(self):
+        graph = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 5.0)])
+        indptr, neighbors, weights = graph.csr()
+
+        def arcs(u, v):
+            """The two entries of ``weights`` that hold edge ``(u, v)``."""
+            return [
+                weights[i]
+                for a, b in ((u, v), (v, u))
+                for i in range(indptr[a], indptr[a + 1])
+                if neighbors[i] == b
+            ]
+
+        graph.set_weight(2, 1, 7.0)  # reversed endpoints
+        graph.add_edge(3, 0, 6.0)  # add_edge of an existing edge overwrites
+        graph.set_weight(2, 3, math.inf)
+        assert arcs(1, 2) == [7.0, 7.0]
+        assert arcs(0, 3) == [6.0, 6.0]
+        assert arcs(2, 3) == [math.inf, math.inf]
+        assert arcs(0, 1) == [1.0, 1.0]
+        assert graph.csr() == (indptr, neighbors, weights)
+        assert graph.csr()[2] is weights
+
+    def test_rejected_writes_leave_arrays_untouched(self):
+        graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        arrays = graph.csr()
+        before = [list(a) for a in arrays]
+        with pytest.raises(InvalidWeightError):
+            graph.set_weight(0, 1, -1.0)
+        with pytest.raises(InvalidWeightError):
+            graph.add_edge(1, 2, math.nan)
+        with pytest.raises(EdgeNotFoundError):
+            graph.set_weight(0, 2, 1.0)
+        with pytest.raises(GraphError):
+            graph.add_edge(1, 1, 1.0)
+        with pytest.raises(VertexNotFoundError):
+            graph.add_edge(0, 3, 1.0)
+        assert graph.csr() is arrays
+        assert [list(a) for a in arrays] == before
+
+    def test_copy_shares_only_the_topology_arrays(self):
+        graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        indptr, neighbors, weights = graph.csr()
+        clone = graph.copy()
+        clone_indptr, clone_neighbors, clone_weights = clone.csr()
+        # indptr and neighbors never change in place, so sharing them is safe.
+        assert clone_indptr is indptr and clone_neighbors is neighbors
+        assert clone_weights is not weights
+        clone.set_weight(0, 1, 9.0)
+        assert list(weights) == [1.0, 1.0, 2.0, 2.0]
+        assert list(clone_weights) == [9.0, 9.0, 2.0, 2.0]
+        # A new edge on the clone rebuilds its arrays; the original keeps its own.
+        clone.add_edge(0, 2, 3.0)
+        assert clone.csr()[0] is not indptr
+        assert list(indptr) == [0, 1, 3, 4]
+        assert graph.csr() == (indptr, neighbors, weights)
