@@ -126,6 +126,28 @@ class BatchPolicy:
         Fall back to a from-scratch label rebuild when the number of net
         (coalesced) updates exceeds this fraction of the graph's edges.
         ``None`` disables the fallback entirely (the engine always runs).
+        The default sits at the measured crossover.  On the 10k-vertex
+        highway grid (19,526 edges; 2-CPU x86 container, Python 3.11,
+        numpy 2.4), a batch doubling random edges and its reversal took
+        (rising / falling seconds; the rebuild is the relax build):
+
+        =======  ===========  ===========
+        batch    maintain     rebuild
+        =======  ===========  ===========
+        300      1.08 / 0.31  1.20 / 1.17
+        600      1.61 / 0.45  1.20 / 1.17
+        750      1.75 / 0.59  1.21 / 1.15
+        900      1.87 / 1.04  1.23 / 1.26
+        1,200    1.76 / 1.01  1.20 / 1.30
+        2,400    2.84 / 1.82  1.41 / 1.20
+        4,800    2.93 / 2.51  1.04 / 0.93
+        =======  ===========  ===========
+
+        Two more seeds moved cells by up to 0.3 s and kept the pair
+        crossover between 600 and 900 updates (a tie at 750, 3.8% of the
+        edges), so the default is 4% (781 updates there).  Rush-hour
+        congestion batches are more local than random ones and maintain
+        cheaper, so their 601-update class still maintains.
     batched_min_updates:
         Below this many net updates the batch machinery (precondition scan,
         kind partition, merged phases) costs more than it shares; the batch
@@ -136,7 +158,7 @@ class BatchPolicy:
     """
 
     rebuild_min_updates: int = 64
-    rebuild_fraction: float | None = 0.25
+    rebuild_fraction: float | None = 0.04
     batched_min_updates: int = 3
     max_workers: int | None = None
 

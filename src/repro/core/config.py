@@ -77,9 +77,9 @@ class STLConfig:
             raise ConfigError(
                 f"policy must be a BatchPolicy or None, got {type(self.policy).__name__}"
             )
-        # ``construction`` picks the index build pipeline (serial recursion
-        # vs the process-parallel shared-memory builder); ``None`` defers to
-        # the instance-size/CPU-count heuristic at build time.
+        # ``construction`` picks the index build pipeline (serial build vs
+        # the opt-in process-parallel shared-memory builder); ``None`` is
+        # serial.
         normalize_construction(self.construction)
 
     @property

@@ -20,7 +20,8 @@ This module is that payoff:
 * :class:`LabelSearchRounds` runs the batched Label Search engine's two
   passes for *all label indexes of a coalesced batch at once*, as
   level-synchronous rounds over flat entry positions of the label store and
-  the graph's own CSR arrays (:meth:`repro.graph.graph.Graph.csr`).
+  the graph's own CSR arrays (:meth:`repro.graph.graph.Graph.csr`).  The
+  label build is the same relax, started from every root at once.
 
 numpy is an *optional* dependency (install the ``repro[fast]`` extra): every
 entry point has a pure-Python fallback selected at import time, and the
@@ -695,6 +696,22 @@ class LabelSearchRounds:
         changed = _np.zeros(len(self.entries), dtype=bool)
         self.relax(vertices, positions, changed)
         return seeded_indexes, int(_np.count_nonzero(changed))
+
+    # -- construction ------------------------------------------------------ #
+
+    def relax_from_roots(self) -> None:
+        """Compute every entry of an all-``inf`` store (the label build).
+
+        Each vertex ``r`` roots the search for its own label index: its
+        entry ``offsets[r] + tau[r]`` -- the last of its row -- becomes
+        ``0.0``, and one :meth:`relax` runs from all ``n`` roots at once.
+        The arc restriction ``tau(u) > i`` keeps root ``r``'s search inside
+        ``G[Desc(r)]``, so the fixed point is byte-identical to one
+        rank-restricted Dijkstra per root.
+        """
+        roots = self.offsets[1:] - 1
+        self.entries[roots] = 0.0
+        self.relax(_np.arange(len(roots), dtype=_np.int64), roots)
 
     def relax(self, vertices: Any, positions: Any, changed: Any = None) -> None:
         """Relax outward from a frontier until no entry improves.

@@ -29,6 +29,10 @@ class IndexStats:
     hierarchy_seconds: float = 0.0
     label_seconds: float = 0.0
     construction_workers: int = 0
+    #: The label phase's work (see ``BuildReport``): relax rounds and
+    #: frontier entries, 0 on the per-root Dijkstra paths.
+    label_rounds: int = 0
+    label_enqueued: int = 0
 
     @property
     def bytes_total(self) -> int:

@@ -97,12 +97,12 @@ class StableTreeLabelling:
         """Build the index: stable tree hierarchy + subgraph-distance labels.
 
         ``construction`` selects the build pipeline: ``"serial"`` (the
-        in-process recursion), ``"parallel"`` (the process-parallel
-        shared-memory builder of :mod:`repro.core.construction`, with
-        ``max_workers`` capping its pool) or ``None`` to decide from the
-        instance size and CPU count.  Both pipelines produce entry-wise
-        identical hierarchies and labels; the resolved mode and the
-        per-phase timing land in :attr:`build_report`.
+        in-process build, also what ``None`` means) or ``"parallel"`` (the
+        opt-in process-parallel shared-memory builder of
+        :mod:`repro.core.construction`, with ``max_workers`` capping its
+        pool).  Both pipelines produce byte-identical hierarchies and
+        labels; the resolved mode, the per-phase timing and the label
+        relax's work land in :attr:`build_report`.
         """
         timer = Timer()
         with timer.measure():
@@ -469,6 +469,8 @@ class StableTreeLabelling:
             hierarchy_seconds=report.hierarchy_seconds if report else 0.0,
             label_seconds=report.label_seconds if report else 0.0,
             construction_workers=report.workers if report else 0,
+            label_rounds=report.label_rounds if report else 0,
+            label_enqueued=report.label_enqueued if report else 0,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -51,8 +51,8 @@ class ExperimentConfig:
     pairs_per_query_set: int = 60
     beta: float = 0.2
     leaf_size: int = 16
-    batch_rebuild_min_updates: int = 64
-    batch_rebuild_fraction: float | None = 0.25
+    batch_rebuild_min_updates: int = BatchPolicy.rebuild_min_updates
+    batch_rebuild_fraction: float | None = BatchPolicy.rebuild_fraction
     batch_max_workers: int | None = None
 
     def hierarchy_options(self) -> HierarchyOptions:

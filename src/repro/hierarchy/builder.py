@@ -72,6 +72,9 @@ class BuildReport:
     of the two phases, ``construction`` with the resolved mode
     (``"serial"`` or ``"parallel"``) and ``workers`` with the number of
     worker processes the parallel builder used (0 for serial builds).
+    ``label_rounds`` / ``label_enqueued`` count the frontiers and frontier
+    entries of the serial build's relax (0 on the per-root Dijkstra paths:
+    the parallel builder and the build without numpy).
     """
 
     num_nodes: int = 0
@@ -82,6 +85,8 @@ class BuildReport:
     label_seconds: float = 0.0
     workers: int = 0
     construction: str = "serial"
+    label_rounds: int = 0
+    label_enqueued: int = 0
 
     def record(self, bisection: Bisection, is_leaf: bool, balanced: bool) -> None:
         self.num_nodes += 1

@@ -12,6 +12,7 @@ from repro.core.config import STLConfig
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from tests.conftest import nx_all_pairs
+from tests.core.test_labelling import per_root_bytes
 
 
 @pytest.fixture
@@ -44,6 +45,13 @@ class TestBatchPolicy:
         policy = BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.25)
         assert not policy.should_rebuild(25, 100)
         assert policy.should_rebuild(26, 100)
+
+    def test_default_crossover_keeps_rush_hour_batches_maintained(self):
+        """On the 10k benchmark grid (19,526 edges) the 601-update rush-hour
+        class maintains and batches past the measured crossover rebuild."""
+        policy = BatchPolicy()
+        assert not policy.should_rebuild(601, 19_526)
+        assert policy.should_rebuild(1_200, 19_526)
 
     def test_none_disables_rebuild(self):
         policy = BatchPolicy(rebuild_min_updates=0, rebuild_fraction=None)
@@ -168,6 +176,26 @@ class TestRebuildFallback:
             config=STLConfig(policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0)),
         )
         assert stats.extra.get("rebuild_fallback") == 1
+
+    def test_forced_rebuild_with_closures_and_reopenings_is_byte_exact(self, small_grid):
+        """The fallback rebuilds through ``build_labels`` (the relax with
+        numpy): after closing edges and then reopening some while closing
+        others, the store holds exactly the bytes of a fresh per-root build."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        forced = STLConfig(policy=BatchPolicy(rebuild_min_updates=1, rebuild_fraction=0.0))
+        edges = [(u, v) for u, v, _ in stl.graph.edges()]
+        closed = edges[::5]
+        first = dict.fromkeys(closed, math.inf)
+        first.update({edge: 3 * stl.graph.weight(*edge) for edge in edges[1::5]})
+        second = dict.fromkeys(edges[2::5], math.inf)
+        second.update({edge: stl.graph.weight(*edge) for edge in closed[::2]})  # reopen
+        for targets in (first, second):
+            batch = [EdgeUpdate(u, v, stl.graph.weight(u, v), w) for (u, v), w in targets.items()]
+            stats = stl.apply_batch(batch, config=forced)
+            assert stats.extra.get("rebuild_fallback") == 1
+            assert bytes(stl.labels.view) == per_root_bytes(stl.graph, stl.hierarchy)
+            assert any(math.isinf(d) for _, _, d in stl.labels.iter_entries())
+        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
 
 class TestNeutralCounting:

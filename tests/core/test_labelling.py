@@ -1,14 +1,29 @@
 """Unit tests for STL label construction (Definition 4.6, Lemma 4.7)."""
 
 import math
+from array import array
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.dijkstra import dijkstra_rank_restricted
-from repro.core.labelling import build_labels, verify_labels
+from repro.core import kernels
+from repro.core.construction import build_index, run_label_roots
+from repro.core.labelling import (
+    UNREACHABLE,
+    build_labels,
+    build_labels_with_counts,
+    label_offsets,
+    verify_labels,
+)
+from repro.graph.generators import highway_grid_network, random_connected_graph
 from repro.graph.graph import Graph
 from repro.hierarchy.builder import HierarchyOptions, build_hierarchy
 from repro.utils.errors import LabellingError
+from repro.workloads.datasets import build_dataset
+
+needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
 
 
 @pytest.fixture
@@ -276,3 +291,198 @@ class TestDifferencesShapeMismatches:
         diffs = labels.differences(longer)
         assert any(v == 4 and i == len(rows[4]) - 1 for v, i, _, _ in diffs)
         assert not labels.equals(longer)
+
+
+# --------------------------------------------------------------------------- #
+# The relax build against one rank-restricted Dijkstra per root
+# --------------------------------------------------------------------------- #
+
+
+def per_root_bytes(graph, hierarchy):
+    """The store one scalar Dijkstra per root fills, in label order."""
+    offsets = label_offsets(hierarchy.tau)
+    entries = array("d", [UNREACHABLE]) * offsets[-1]
+    roots = list(hierarchy.vertices_in_label_order())
+    run_label_roots(graph, roots, hierarchy.tau, entries, offsets)
+    return entries.tobytes()
+
+
+def assert_build_parity(graph, options=None):
+    """``build_labels`` writes exactly the bytes of the per-root searches."""
+    hierarchy = build_hierarchy(graph, options)
+    assert bytes(build_labels(graph, hierarchy).view) == per_root_bytes(graph, hierarchy)
+    return hierarchy
+
+
+def complete_graph(n, weight):
+    graph = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            graph.add_edge(u, v, weight(u, v))
+    return graph
+
+
+def two_components():
+    graph = Graph(12)
+    for v in range(5):
+        graph.add_edge(v, v + 1, float(v + 1))
+    for v in range(6, 11):
+        graph.add_edge(v, v + 1, 2.0)
+    return graph
+
+
+def isolated_tail():
+    graph = Graph(6)
+    graph.add_edge(0, 1, 1.0)
+    graph.add_edge(1, 2, 1.0)  # vertices 3..5 stay isolated
+    return graph
+
+
+#: Weights chosen to break a build that associates a sum differently from
+#: the left-to-right fold: exact ties, 1-ulp gaps, decimal fractions whose
+#: sums round, 1e15 beside 1.0, zero and closed (``inf``) edges.
+DESIGNED_WEIGHTS = (
+    0.0,
+    0.1,
+    0.2,
+    0.3,
+    1.0,
+    math.nextafter(1.0, math.inf),
+    3.0,
+    1e15,
+    math.nextafter(1e15, math.inf),
+    math.inf,
+)
+
+SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestRelaxBuildParity:
+    """Byte identity of the build with ``construction.run_label_roots``.
+
+    The inputs are those of ``test_construction.TestParallelEqualsSerial``
+    plus closed edges and designed weights.  Without numpy ``build_labels``
+    *is* the per-root loop, so the vector cases skip there and only the
+    fallback test runs.
+    """
+
+    @needs_numpy
+    def test_figure10_workload_graph(self):
+        graph = build_dataset("NY", scale=0.2, seed=2025)
+        assert_build_parity(graph, HierarchyOptions(leaf_size=8))
+
+    @needs_numpy
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    def test_grid_leaf_sizes(self, leaf_size):
+        graph = highway_grid_network(600, seed=11)
+        assert_build_parity(graph, HierarchyOptions(leaf_size=leaf_size))
+
+    @needs_numpy
+    @SETTINGS
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        extra=st.floats(min_value=0.0, max_value=0.3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_connected_graphs(self, n, extra, seed):
+        graph = random_connected_graph(n, extra, seed=seed)
+        assert_build_parity(graph, HierarchyOptions(leaf_size=4))
+
+    @needs_numpy
+    def test_disconnected_components(self):
+        assert_build_parity(two_components(), HierarchyOptions(leaf_size=3))
+
+    @needs_numpy
+    def test_unreachable_entries_stay_inf(self):
+        graph = isolated_tail()
+        hierarchy = assert_build_parity(graph, HierarchyOptions(leaf_size=6))
+        assert any(math.isinf(d) for _, _, d in build_labels(graph, hierarchy).iter_entries())
+
+    @needs_numpy
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_graphs(self, n):
+        assert_build_parity(Graph(n))
+
+    @needs_numpy
+    def test_dense_complete_graph(self):
+        graph = complete_graph(48, lambda u, v: float((u + v) % 7 + 1))
+        assert_build_parity(graph, HierarchyOptions(leaf_size=6))
+
+    @needs_numpy
+    def test_single_leaf_hierarchy(self):
+        graph = random_connected_graph(6, 0.2, seed=3)
+        assert_build_parity(graph, HierarchyOptions(leaf_size=16))
+
+    @needs_numpy
+    def test_unsplittable_blob(self):
+        assert_build_parity(complete_graph(12, lambda u, v: 1.0), HierarchyOptions(leaf_size=4))
+
+    @needs_numpy
+    def test_closed_edges(self):
+        """``inf`` edges carry nothing: whole subtrees become unreachable."""
+        graph = highway_grid_network(400, seed=3)
+        for k, (u, v, _) in enumerate(list(graph.edges())):
+            if k % 3 == 0:
+                graph.set_weight(u, v, math.inf)
+        hierarchy = assert_build_parity(graph, HierarchyOptions(leaf_size=8))
+        assert any(math.isinf(d) for _, _, d in build_labels(graph, hierarchy).iter_entries())
+
+    @needs_numpy
+    @SETTINGS
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+        weights=st.lists(st.sampled_from(DESIGNED_WEIGHTS), min_size=1, max_size=200),
+    )
+    def test_designed_weights(self, n, seed, weights):
+        graph = random_connected_graph(n, 0.3, seed=seed)
+        for k, (u, v, _) in enumerate(list(graph.edges())):
+            graph.set_weight(u, v, weights[k % len(weights)])
+        assert_build_parity(graph, HierarchyOptions(leaf_size=4))
+
+    def test_per_root_fallback_without_numpy(self, monkeypatch):
+        """With numpy switched off the build runs one Dijkstra per root and
+        writes the same bytes as the relax, on connected, disconnected and
+        closed-edge inputs alike."""
+        closed = highway_grid_network(300, seed=4)
+        for k, (u, v, _) in enumerate(list(closed.edges())):
+            if k % 4 == 0:
+                closed.set_weight(u, v, math.inf)
+        cases = [
+            (highway_grid_network(300, seed=4), HierarchyOptions(leaf_size=8)),
+            (two_components(), HierarchyOptions(leaf_size=3)),
+            (isolated_tail(), HierarchyOptions(leaf_size=6)),
+            (closed, HierarchyOptions(leaf_size=8)),
+        ]
+        hierarchies = [build_hierarchy(graph, options) for graph, options in cases]
+        built = [bytes(build_labels(g, h).view) for (g, _), h in zip(cases, hierarchies)]
+        monkeypatch.setattr(kernels, "HAS_NUMPY", False)
+        for (graph, _), hierarchy, vector in zip(cases, hierarchies, built):
+            labels, rounds, enqueued = build_labels_with_counts(graph, hierarchy)
+            assert (rounds, enqueued) == (0, 0)
+            assert bytes(labels.view) == per_root_bytes(graph, hierarchy) == vector
+
+
+class TestBuildWork:
+    @needs_numpy
+    def test_relax_re_relaxation_stays_low(self):
+        """A relax order that re-relaxes entries many times should fail here,
+        not only run slower: on a 30x30 highway grid every entry is enqueued
+        less than 1.5 times on average."""
+        graph = highway_grid_network(900, seed=1)
+        _, labels, report = build_index(graph)
+        assert report.construction == "serial" and report.workers == 0
+        assert report.label_rounds > 0
+        assert report.label_enqueued >= labels.num_entries()
+        assert report.label_enqueued / labels.num_entries() < 1.5
+
+    def test_counts_reach_index_stats(self, small_grid):
+        from repro.core.stl import StableTreeLabelling
+
+        stl = StableTreeLabelling.build(small_grid, HierarchyOptions(leaf_size=8))
+        stats = stl.stats()
+        assert stats.label_rounds == stl.build_report.label_rounds
+        assert stats.label_enqueued == stl.build_report.label_enqueued
+        assert (stats.label_enqueued > 0) == kernels.HAS_NUMPY
