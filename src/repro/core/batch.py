@@ -12,21 +12,24 @@ two interval searches per update.  For the batch workloads of the evaluation
 :class:`BatchedParetoEngine` lifts the sharing that Label Search's per-index
 queues already exploit (see :mod:`repro.core.label_search`) into the
 update-centric Pareto structure, for a batch of **coalesced** updates (one
-net update per edge, see :meth:`repro.graph.updates.UpdateBatch.coalesce`):
+net update per edge, see :meth:`repro.graph.updates.UpdateBatch.coalesce`).
+It runs the per-update searches' own code; only the grouping differs:
 
-* **Increases** -- one shared mark phase runs every endpoint search on the
-  unmodified graph and merges the affected ``(vertex, level)`` sets,
-  accumulating per-entry bumps (the sum of the deltas of every update whose
-  old shortest paths cross the entry -- a valid upper bound, since keeping
-  any old shortest path costs its old length plus the deltas of the updated
-  edges it uses).  All new weights are then applied at once and a *single*
-  combined bump-and-repair (Algorithm 5) restores exact distances.
+* **Increases** -- every update's mark phase
+  (:meth:`~repro.core.pareto_search.ParetoSearchIncrease.mark_update`) runs
+  on the unmodified graph, then one
+  :meth:`~repro.core.pareto_search.ParetoSearchIncrease.land_and_repair`
+  merges the marks into per-entry bumps (the sum of the deltas of every
+  update whose old shortest paths cross the entry), applies all new weights
+  at once and runs a *single* combined bump-and-repair (Algorithm 5).
 * **Decreases** -- all new weights are applied first, then every endpoint
-  search runs on one *shared frontier*: a single priority queue interleaves
-  the searches (each keeps its own ``level()`` pruning map, so per-context
-  pops still arrive in nondecreasing distance order), and because decrease
-  repairs are monotone toward the true distances, a repair made by one
-  search immediately prunes the relaxations of every other.
+  search runs on one *shared frontier*
+  (:func:`~repro.core.pareto_search.shared_frontier_relax` with one context
+  per endpoint): a single priority queue interleaves the searches (each
+  keeps its own ``level()`` pruning map, so per-context pops still arrive in
+  nondecreasing distance order), and because decrease repairs are monotone
+  toward the true distances, a repair made by one search immediately prunes
+  the relaxations of every other.
 
 Correctness of the decrease pass on the fully-decreased graph: a label entry
 whose distance drops has a new shortest path that can be decomposed at its
@@ -59,14 +62,12 @@ and dispatches accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.core.label_search import MaintenanceStats, _orient
 from repro.core.labelling import STLLabels
-from repro.core.pareto_search import ParetoSearchIncrease
+from repro.core.pareto_search import ParetoSearchIncrease, shared_frontier_relax
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateKind
 from repro.hierarchy.tree import StableTreeHierarchy
@@ -204,96 +205,19 @@ def validate_coalesced(graph: Graph, updates: Sequence[EdgeUpdate]) -> None:
             )
 
 
-def shared_frontier_relax(
-    adjacency,
-    tau,
-    labels,
-    contexts,
-    counters: list[int],
-    owned: set[int] | None = None,
-    escapes: list[tuple[int, float, int, int, int]] | None = None,
-) -> None:
-    """Shared-frontier decrease relaxation over explicit per-root contexts.
-
-    The single implementation behind :func:`shared_frontier_decrease`
-    (contexts built from the decreased edges, unconfined) and the process
-    shard backend's confined worker frontiers plus escape settlement
-    (:mod:`repro.core.parallel`).  ``contexts`` is a sequence of
-    ``(root, root_label, seeds)`` with seeds ``(distance, interval_min,
-    vertex, interval_max)``; all contexts share one frontier heap, each pop
-    relaxing against its own root label and ``level()`` map, so repairs
-    written by one context prune the candidates of every other.
-    Per-context pops still arrive in nondecreasing distance order (a
-    subsequence of a globally distance-ordered heap), which keeps the
-    ``level(v)`` pruning safe.
-
-    ``counters`` is ``[heap_pushes, labels_changed, vertices_affected]``;
-    ``adjacency``/``labels`` only need ``[]`` lookup.  With ``owned``
-    given, frontier pushes leaving the owned set are recorded as
-    ``(root, *entry)`` escapes instead of followed.
-    """
-    roots = [root for root, _, _ in contexts]
-    root_labels = [label_root for _, label_root, _ in contexts]
-    level_maps: list[dict[int, int]] = [{} for _ in contexts]
-    heap: list[tuple[float, int, int, int, int]] = []
-    for ctx, (_, _, seeds) in enumerate(contexts):
-        for d, active_min, v, active_max in seeds:
-            heappush(heap, (d, active_min, ctx, v, active_max))
-            counters[0] += 1
-
-    while heap:
-        d, active_min, ctx, v, active_max = heappop(heap)
-        level = level_maps[ctx]
-        active_max = min(active_max, tau[v])
-        active_min = max(active_min, level.get(v, 0))
-        if active_min > active_max:
-            continue
-        level[v] = active_max + 1
-        counters[2] += 1
-
-        label_root = root_labels[ctx]
-        label_v = labels[v]
-        new_min = -1
-        new_max = -1
-        for i in range(active_min, active_max + 1):
-            root_dist = label_root[i]
-            if math.isinf(root_dist):
-                continue
-            candidate = d + root_dist
-            if candidate < label_v[i]:
-                label_v[i] = candidate
-                counters[1] += 1
-                if new_min == -1:
-                    new_min = i
-                new_max = i
-
-        if new_min != -1:
-            for nbr, weight in adjacency[v]:
-                if math.isinf(weight) or tau[nbr] < new_min:
-                    continue
-                if owned is not None and nbr not in owned:
-                    if escapes is not None:
-                        escapes.append((roots[ctx], d + weight, new_min, nbr, new_max))
-                    continue
-                heappush(heap, (d + weight, new_min, ctx, nbr, new_max))
-                counters[0] += 1
-
-
 def shared_frontier_decrease(
     graph: Graph,
     hierarchy: StableTreeHierarchy,
     labels: STLLabels,
     decreases: Sequence[EdgeUpdate],
-    apply_weights: bool = True,
 ) -> MaintenanceStats:
     """All decrease endpoint searches on one shared frontier.
 
     This is the decrease half of :class:`BatchedParetoEngine`, exposed as a
     function so the sharded engine (:mod:`repro.core.shard`) can reuse it.
-    ``apply_weights=False`` skips the weight application for callers that
-    already put the new weights in place.  The search body is the shared
-    :func:`shared_frontier_relax` kernel with one context per
-    ``(root, start)`` endpoint pair.
+    It lands the new weights first.  The search body is Algorithm 3's
+    :func:`repro.core.pareto_search.shared_frontier_relax` with one context
+    per ``(root, start)`` endpoint pair, all on one frontier.
 
     Correctness requires the **pre-decrease label state**: the decomposition
     argument in the module docstring leans on every still-unrepaired entry
@@ -307,9 +231,8 @@ def shared_frontier_decrease(
     stats = MaintenanceStats()
     tau = hierarchy.tau
 
-    if apply_weights:
-        for update in decreases:
-            graph.set_weight(update.u, update.v, update.new_weight)
+    for update in decreases:
+        graph.set_weight(update.u, update.v, update.new_weight)
 
     contexts: list[tuple[int, list[float], list[tuple[float, int, int, int]]]] = []
     for update in decreases:
@@ -356,48 +279,20 @@ class BatchedParetoEngine:
         preconditions.
         """
         validate_coalesced(self.graph, updates)
-        increases = [u for u in updates if u.kind is UpdateKind.INCREASE]
-        decreases = [u for u in updates if u.kind is UpdateKind.DECREASE]
         stats = MaintenanceStats(updates_processed=len(updates))
-        if increases:
-            stats.merge(self._apply_increases(increases))
+        # Increases: every mark phase runs on the *old* graph and labels,
+        # then one combined land-and-repair over the whole group.
+        marked: list[tuple[EdgeUpdate, dict[int, set[int]]]] = []
+        for update in updates:
+            if update.kind is UpdateKind.INCREASE:
+                marks: dict[int, set[int]] = {}
+                stats.merge(self._increase.mark_update(update, marks))
+                marked.append((update, marks))
+        stats.merge(self._increase.land_and_repair(marked))
+        # Decreases: all endpoint searches on one shared frontier.
+        decreases = [u for u in updates if u.kind is UpdateKind.DECREASE]
         if decreases:
-            stats.merge(self._apply_decreases(decreases))
+            stats.merge(
+                shared_frontier_decrease(self.graph, self.hierarchy, self.labels, decreases)
+            )
         return stats
-
-    # ------------------------------------------------------------------ #
-    # Increases: merged mark phase + one combined bump-and-repair
-    # ------------------------------------------------------------------ #
-
-    def _apply_increases(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        stats = MaintenanceStats()
-        tau = self.hierarchy.tau
-
-        # Mark phase: every endpoint search runs on the *old* graph and old
-        # labels; per (vertex, level) the deltas of all marking updates
-        # accumulate into one upper-bound bump.
-        affected: dict[int, dict[int, float]] = {}
-        for update in increases:
-            a, b = _orient(update, tau)
-            delta = update.new_weight - update.old_weight
-            marks: dict[int, set[int]] = {}
-            stats.merge(self._increase.mark_affected(a, b, update.old_weight, marks))
-            stats.merge(self._increase.mark_affected(b, a, update.old_weight, marks))
-            for v, levels in marks.items():
-                row = affected.setdefault(v, {})
-                for i in levels:
-                    row[i] = row.get(i, 0.0) + delta
-        stats.vertices_affected += len(affected)
-
-        for update in increases:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
-        if affected:
-            stats.merge(self._increase.bump_and_repair(affected))
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Decreases: all endpoint searches on one shared frontier
-    # ------------------------------------------------------------------ #
-
-    def _apply_decreases(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        return shared_frontier_decrease(self.graph, self.hierarchy, self.labels, decreases)

@@ -3,22 +3,18 @@
 The per-kind Label Search classes (:mod:`repro.core.label_search`) already
 share per-label-index priority queues across the updates of one ``apply``
 call -- the module docstring's observation that searches rooted in disjoint
-subtrees never interact.  :class:`BatchedLabelSearchEngine` completes the
-lift to the batch regime of :class:`repro.core.batch.BatchedParetoEngine`:
-one engine object that takes a whole **coalesced** batch (one net update per
-edge, mixed kinds) and processes it in two passes over shared queues:
+subtrees never interact.  :class:`BatchedLabelSearchEngine` takes a whole
+**coalesced** batch (one net update per edge, mixed kinds) and hands each
+kind group to one such call:
 
-* **Increases first** -- one seed + drain pass over the *old* weights grows
-  the per-index affected sets for every net increase at once
-  (:func:`repro.core.label_search.seed_affected_queues` /
-  :func:`~repro.core.label_search.drain_affected_queues`), then the new
-  weights land and every affected entry is repaired from its unaffected
-  neighbours in a single per-index repair
-  (:func:`~repro.core.label_search.repair_affected_entries`).
-* **Decreases second**, on the increased graph -- apply the new weights,
-  seed the per-index decrease queues for the whole group and drain each
-  queue once (:func:`~repro.core.label_search.seed_decrease_queues` /
-  :func:`~repro.core.label_search.drain_decrease_queues`).
+* **Increases first** -- :class:`~repro.core.label_search.LabelSearchIncrease`
+  grows the per-index affected sets for every net increase in one seed +
+  drain pass over the *old* weights, lands the new weights and repairs every
+  affected entry from its unaffected neighbours.
+* **Decreases second**, on the increased graph --
+  :class:`~repro.core.label_search.LabelSearchDecrease` lands the new
+  weights, seeds the per-index decrease queues for the whole group and
+  drains each queue once.
 
 The two kind groups touch disjoint edges (coalescing guarantees it), so the
 increase pass's weight writes never invalidate a decrease's recorded old
@@ -28,15 +24,15 @@ With numpy the same two passes run as **frontier rounds** over flat entry
 positions of the CSR label store, every label index of the batch at once
 (:class:`repro.core.kernels.LabelSearchRounds`); the per-index heaps are the
 fallback without numpy and the reference in the tests.  Both produce
-bit-identical labels.
+bit-identical labels.  The choice follows the platform
+(:data:`repro.core.kernels.HAS_NUMPY`); no option pins it.
 
 This engine is what :class:`repro.core.batch.BatchPolicy` routes every
 batch to by default (``label_search/serial``).  In the engine x backend
 matrix (see docs/architecture.md) it also serves as the degenerate-plan and
 residual fallback of the ``thread``/``process`` backends, whose confined
 shard workers run the scalar kernels of :mod:`repro.core.label_search`
-directly.  Pin it with ``STLConfig(engine="label_search")``; pin its
-implementation with ``STLConfig(kernel="scalar"/"vector")``.
+directly.  Pin it with ``STLConfig(engine="label_search")``.
 """
 
 from __future__ import annotations
@@ -46,13 +42,10 @@ from typing import Any, Sequence
 from repro.core import kernels
 from repro.core.batch import validate_coalesced
 from repro.core.label_search import (
+    LabelSearchDecrease,
+    LabelSearchIncrease,
     MaintenanceStats,
     _orient,
-    drain_affected_queues,
-    drain_decrease_queues,
-    repair_affected_entries,
-    seed_affected_queues,
-    seed_decrease_queues,
 )
 from repro.core.labelling import STLLabels
 from repro.graph.graph import Graph
@@ -78,12 +71,14 @@ class BatchedLabelSearchEngine:
     """Shared-queue Label Search over a coalesced batch of updates.
 
     Two implementations of the same two passes, selected per :meth:`apply`
-    call by what the interpreter offers (``kernel=None``: numpy present ->
-    vector) or pinned by ``kernel="scalar"`` / ``"vector"``:
+    call by what the interpreter offers (:data:`repro.core.kernels.HAS_NUMPY`,
+    read at call time):
 
-    * **scalar** -- the per-index heaps of :mod:`repro.core.label_search`,
-      one ``(vertex, index)`` entry at a time; the only path without numpy
-      and the reference the vector rounds are tested against.
+    * **scalar** -- :class:`~repro.core.label_search.LabelSearchIncrease` /
+      :class:`~repro.core.label_search.LabelSearchDecrease` themselves, each
+      given its whole kind group in one call: the per-index heaps, one
+      ``(vertex, index)`` entry at a time.  The only path without numpy and
+      the reference the vector rounds are tested against.
     * **vector** -- :class:`repro.core.kernels.LabelSearchRounds`: all label
       indexes of the batch at once over flat entry positions, in
       level-synchronous rounds.  Labels come out bit-identical to the scalar
@@ -94,8 +89,10 @@ class BatchedLabelSearchEngine:
         self.graph = graph
         self.hierarchy = hierarchy
         self.labels = labels
+        self._increase = LabelSearchIncrease(graph, hierarchy, labels)
+        self._decrease = LabelSearchDecrease(graph, hierarchy, labels)
 
-    def apply(self, updates: Sequence[EdgeUpdate], kernel: str | None = None) -> MaintenanceStats:
+    def apply(self, updates: Sequence[EdgeUpdate]) -> MaintenanceStats:
         """Apply one coalesced batch (at most one net update per edge).
 
         Net increases are processed first (their phase-1 search must see the
@@ -112,16 +109,23 @@ class BatchedLabelSearchEngine:
         ``extra["rounds"]``, the number of frontiers it processed.
         """
         validate_coalesced(self.graph, updates)
-        vector = kernels.normalize_kernel(kernel) == "vector"
+        vector = kernels.HAS_NUMPY
         increases = [u for u in updates if u.kind is UpdateKind.INCREASE]
         decreases = [u for u in updates if u.kind is UpdateKind.DECREASE]
-        stats = MaintenanceStats(updates_processed=len(updates))
+        stats = MaintenanceStats()
         if increases:
-            run = self._apply_increases_vector if vector else self._apply_increases
-            stats.merge(run(increases))
+            if vector:
+                stats.merge(self._apply_increases_vector(increases))
+            else:
+                stats.merge(self._increase.apply(increases))
         if decreases:
-            run = self._apply_decreases_vector if vector else self._apply_decreases
-            stats.merge(run(decreases))
+            if vector:
+                stats.merge(self._apply_decreases_vector(decreases))
+            else:
+                stats.merge(self._decrease.apply(decreases))
+        # Counted once here: NEUTRAL updates count, and the per-kind
+        # classes' own counts would cover only their kind.
+        stats.updates_processed = len(updates)
         if vector:
             stats.extra["vector_kernel"] = 1
         return stats
@@ -164,55 +168,4 @@ class BatchedLabelSearchEngine:
             ancestors_touched=seeded, labels_changed=changed, heap_pushes=search.enqueued
         )
         stats.extra["rounds"] = search.rounds
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Scalar kernel, increases: one shared phase-1 pass, one per-index repair
-    # ------------------------------------------------------------------ #
-
-    def _apply_increases(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        stats = MaintenanceStats()
-        tau = self.hierarchy.tau
-        labels = self.labels
-        counters = [0, 0, 0]
-
-        queues: dict[int, list[tuple[float, int]]] = {}
-        seed_affected_queues(tau, labels, increases, queues, counters)
-        stats.ancestors_touched += len(queues)
-        affected_by_index: dict[int, set[int]] = {}
-        drain_affected_queues(
-            self.graph.adjacency(), tau, labels, queues, affected_by_index, counters
-        )
-        for affected in affected_by_index.values():
-            stats.vertices_affected += len(affected)
-
-        self._land_weights(increases)
-
-        adjacency = self.graph.adjacency()
-        for index in sorted(affected_by_index):
-            affected = affected_by_index[index]
-            if affected:
-                repair_affected_entries(adjacency, tau, labels, index, affected, counters)
-        stats.heap_pushes += counters[0]
-        stats.labels_changed += counters[1]
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Scalar kernel, decreases: one shared seed + drain pass on the new weights
-    # ------------------------------------------------------------------ #
-
-    def _apply_decreases(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
-        stats = MaintenanceStats()
-        tau = self.hierarchy.tau
-        labels = self.labels
-        counters = [0, 0, 0]
-
-        self._land_weights(decreases)
-
-        queues: dict[int, list[tuple[float, int]]] = {}
-        seed_decrease_queues(tau, labels, decreases, queues, counters)
-        stats.ancestors_touched += len(queues)
-        drain_decrease_queues(self.graph.adjacency(), tau, labels, queues, counters)
-        stats.heap_pushes += counters[0]
-        stats.labels_changed += counters[1]
         return stats

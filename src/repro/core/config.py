@@ -11,15 +11,17 @@ backend    shard backend for batch maintenance         ``None`` / ``"serial"``
                                                        ``"process"``
 engine     batch engine family                         ``None`` / ``"pareto"``
                                                        / ``"label_search"``
-kernel     kernel of ``batch_query`` and of the serial ``None`` / ``"scalar"``
-           batched Label Search engine                 / ``"vector"``
+kernel     kernel of ``batch_query``                   ``None`` / ``"scalar"``
+                                                       / ``"vector"``
 policy     crossover thresholds                        a :class:`BatchPolicy`
                                                        or ``None``
 construction  index build pipeline                     ``None`` / ``"serial"``
                                                        / ``"parallel"``
 ========== =========================================== ====================
 
-``None`` always means "let the measured crossovers decide".  Validation
+``None`` always means "let the measured crossovers decide".  The batched
+Label Search engine's own kernel is not an option: it runs the vector
+rounds when numpy is installed and the scalar heaps otherwise.  Validation
 happens **at construction**: a typo'd backend name fails where the config is
 written, not batches later inside ``apply_batch``, and every validation
 failure is a :class:`repro.utils.errors.ConfigError` (a ``ValueError``

@@ -6,8 +6,9 @@ backward searches over the same stable tree hierarchy).  This module provides
 that extension for static queries:
 
 * the hierarchy is built on the underlying undirected graph (structure only),
-* two label sets are constructed with rank-restricted Dijkstra over the
-  out-edges and the in-edges respectively,
+* two flat label stores are filled with the undirected build's own
+  rank-restricted Dijkstra, over the in-edges and the out-edges
+  respectively,
 * a query ``s -> t`` combines the forward label of ``s`` with the backward
   label of ``t``.
 
@@ -20,9 +21,11 @@ undirected machinery and is exercised only statically in the test suite
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from array import array
+from typing import Iterable
 
+from repro.algorithms.dijkstra import dijkstra_rank_restricted_into
+from repro.core.labelling import STLLabels, label_offsets
 from repro.graph.graph import Graph
 from repro.hierarchy.builder import HierarchyOptions, build_hierarchy
 from repro.hierarchy.tree import StableTreeHierarchy
@@ -95,8 +98,8 @@ class DirectedSTL:
         self,
         graph: DirectedGraph,
         hierarchy: StableTreeHierarchy,
-        forward_labels: list[list[float]],
-        backward_labels: list[list[float]],
+        forward_labels: STLLabels,
+        backward_labels: STLLabels,
     ):
         self.graph = graph
         self.hierarchy = hierarchy
@@ -109,18 +112,17 @@ class DirectedSTL:
         undirected = graph.to_undirected()
         hierarchy = build_hierarchy(undirected, options)
         tau = hierarchy.tau
-        n = graph.num_vertices
-        forward = [[UNREACHABLE] * (tau[v] + 1) for v in range(n)]
-        backward = [[UNREACHABLE] * (tau[v] + 1) for v in range(n)]
-        for r in hierarchy.vertices_in_label_order():
-            index = tau[r]
-            # Forward label of v stores d(v -> r): search backwards from r.
-            for x, d in _restricted_search(graph, r, tau, forward_direction=False).items():
-                forward[x][index] = d
-            # Backward label of v stores d(r -> v): search forwards from r.
-            for x, d in _restricted_search(graph, r, tau, forward_direction=True).items():
-                backward[x][index] = d
-        return cls(graph, hierarchy, forward, backward)
+        offsets = label_offsets(tau)
+        # The forward label of v stores d(v -> r): search backwards from r
+        # over the in-edges.  The backward label stores d(r -> v): search
+        # forwards over the out-edges.
+        stores: list[STLLabels] = []
+        for adjacency in (graph._in, graph._out):
+            entries = array("d", [UNREACHABLE]) * offsets[-1]
+            for r in hierarchy.vertices_in_label_order():
+                dijkstra_rank_restricted_into(adjacency, r, tau, entries, offsets, tau[r])
+            stores.append(STLLabels.from_flat(entries, offsets))
+        return cls(graph, hierarchy, stores[0], stores[1])
 
     def query(self, s: int, t: int) -> float:
         """Shortest directed distance ``s -> t``."""
@@ -138,31 +140,5 @@ class DirectedSTL:
 
     def num_label_entries(self) -> int:
         """Total stored entries across both directions."""
-        return sum(len(l) for l in self.forward_labels) + sum(
-            len(l) for l in self.backward_labels
-        )
+        return self.forward_labels.num_entries() + self.backward_labels.num_entries()
 
-
-def _restricted_search(
-    graph: DirectedGraph,
-    source: int,
-    rank: Sequence[int],
-    forward_direction: bool,
-) -> dict[int, float]:
-    """Rank-restricted Dijkstra over out-edges (forward) or in-edges (backward)."""
-    threshold = rank[source]
-    dist: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    neighbors = graph.out_neighbors if forward_direction else graph.in_neighbors
-    while heap:
-        d, v = heappop(heap)
-        if d > dist.get(v, UNREACHABLE):
-            continue
-        for nbr, weight in neighbors(v):
-            if rank[nbr] < threshold or math.isinf(weight):
-                continue
-            nd = d + weight
-            if nd < dist.get(nbr, UNREACHABLE):
-                dist[nbr] = nd
-                heappush(heap, (nd, nbr))
-    return dist

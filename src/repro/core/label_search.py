@@ -107,7 +107,7 @@ def _orient(update: EdgeUpdate, tau: list[int]) -> tuple[int, int]:
 # backends (:mod:`repro.core.shard`, :mod:`repro.core.parallel`).  All take
 # ``counters == [heap_pushes, labels_changed, vertices_affected]`` and the
 # drains accept the same ``owned``/``escapes`` confinement contract as
-# :func:`repro.core.batch.shared_frontier_relax`: with ``owned`` given, a
+# :func:`repro.core.pareto_search.shared_frontier_relax`: with ``owned`` given, a
 # frontier push leaving the owned set is recorded as a
 # :data:`LabelSearchEscape` instead of followed.
 # --------------------------------------------------------------------------- #

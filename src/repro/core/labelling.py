@@ -478,21 +478,6 @@ def label_offsets(tau: Sequence[int]) -> array:
     return offsets
 
 
-def rebuild_labels_for_vertex(
-    graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabels, r: int
-) -> None:
-    """Recompute every label entry associated with ancestor ``r`` in place.
-
-    Used by the structural-update extension (Section 8) after a sub-hierarchy
-    has been repartitioned, and by tests as a trusted repair oracle.
-    """
-    index = hierarchy.tau[r]
-    for x in hierarchy.descendants(r):
-        labels[x][index] = UNREACHABLE
-    for x, d in dijkstra_rank_restricted(graph, r, hierarchy.tau).items():
-        labels[x][index] = d
-
-
 def verify_labels(graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabels) -> list[str]:
     """Exhaustively verify labels against rank-restricted Dijkstra.
 

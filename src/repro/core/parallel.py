@@ -115,11 +115,7 @@ from array import array
 from multiprocessing import shared_memory
 from typing import Any, Sequence
 
-from repro.core.batch import (
-    BatchedParetoEngine,
-    shared_frontier_relax,
-    validate_coalesced,
-)
+from repro.core.batch import BatchedParetoEngine, validate_coalesced
 from repro.core.batch_label_search import BatchedLabelSearchEngine, merge_affected_sets
 from repro.core.label_search import (
     LabelSearchEscape,
@@ -132,7 +128,11 @@ from repro.core.label_search import (
     seed_decrease_queues,
 )
 from repro.core.labelling import ENTRY_BYTES, STLLabels
-from repro.core.pareto_search import ParetoSearchIncrease, interval_mark_search
+from repro.core.pareto_search import (
+    ParetoSearchIncrease,
+    interval_mark_search,
+    shared_frontier_relax,
+)
 from repro.core.shard import ShardPlan, ShardPlanner, default_num_shards
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateKind
@@ -777,9 +777,11 @@ class ProcessShardBackend:
                 counters,
             )
 
-        # Merge the per-update marks into one bump map in the original
-        # coalesced batch order -- the same accumulation the serial engine
-        # performs, so per-entry bump sums are added in the same order.
+        # Land the marks in the original coalesced batch order -- the same
+        # accumulation the serial engine performs, so per-entry bump sums are
+        # added in the same order.  The repair writes through the shared
+        # mapping, so workers start their decrease phase from the
+        # post-increase state without any entries being shipped.
         sharded_edges = {
             (u.u, u.v) if u.u < u.v else (u.v, u.u)
             for shard in plan.shards
@@ -791,23 +793,11 @@ class ProcessShardBackend:
             if u.kind is UpdateKind.INCREASE
             and ((u.u, u.v) if u.u < u.v else (u.v, u.u)) in sharded_edges
         ]
-        affected: dict[int, dict[int, float]] = {}
-        for update in increase_order:
-            key = (update.u, update.v) if update.u < update.v else (update.v, update.u)
-            delta = update.new_weight - update.old_weight
-            for v, levels in marks_by_edge.get(key, {}).items():
-                row = affected.setdefault(v, {})
-                for i in levels:
-                    row[i] = row.get(i, 0.0) + delta
-        stats.vertices_affected += len(affected)
-
-        for update in increase_order:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
-        if affected:
-            # The repair writes through the shared mapping, so workers start
-            # their decrease phase from the post-increase state without any
-            # entries being shipped.
-            stats.merge(self._increase.bump_and_repair(affected))
+        marked = [
+            (u, marks_by_edge.get((u.u, u.v) if u.u < u.v else (u.v, u.u), {}))
+            for u in increase_order
+        ]
+        stats.merge(self._increase.land_and_repair(marked))
 
         stats.heap_pushes += counters[0]
         stats.labels_changed += counters[1]

@@ -79,7 +79,6 @@ from repro.core.batch_label_search import BatchedLabelSearchEngine, merge_affect
 from repro.core.label_search import (
     LabelSearchEscape,
     MaintenanceStats,
-    _orient,
     drain_affected_queues,
     drain_decrease_queues,
     queues_from_escapes,
@@ -424,13 +423,10 @@ class ShardedBatchEngine:
         Returns per-edge marks so the caller can merge them in the original
         batch order.
         """
-        tau = self.hierarchy.tau
         results: dict[tuple[int, int], dict[int, set[int]]] = {}
         for update in increases:
-            a, b = _orient(update, tau)
             marks: dict[int, set[int]] = {}
-            stats.merge(self._increase.mark_affected(a, b, update.old_weight, marks))
-            stats.merge(self._increase.mark_affected(b, a, update.old_weight, marks))
+            stats.merge(self._increase.mark_update(update, marks))
             key = (update.u, update.v) if update.u < update.v else (update.v, update.u)
             results[key] = marks
         return results
@@ -454,23 +450,13 @@ class ShardedBatchEngine:
         for local in per_shard_stats:
             stats.merge(local)
 
-        # Merge the per-update marks into one bump map *in the original batch
-        # order*, reproducing BatchedParetoEngine._apply_increases exactly
-        # (same accumulation order means bit-identical bump floats).
-        affected: dict[int, dict[int, float]] = {}
-        for update in increase_order:
-            key = (update.u, update.v) if update.u < update.v else (update.v, update.u)
-            delta = update.new_weight - update.old_weight
-            for v, levels in marks_by_edge[key].items():
-                row = affected.setdefault(v, {})
-                for i in levels:
-                    row[i] = row.get(i, 0.0) + delta
-        stats.vertices_affected += len(affected)
-
-        for update in increase_order:
-            self.graph.set_weight(update.u, update.v, update.new_weight)
-        if affected:
-            stats.merge(self._increase.bump_and_repair(affected))
+        # Land the marks *in the original batch order*, reproducing
+        # BatchedParetoEngine exactly (same accumulation order means
+        # bit-identical bump floats).
+        marked = [
+            (u, marks_by_edge[(u.u, u.v) if u.u < u.v else (u.v, u.u)]) for u in increase_order
+        ]
+        stats.merge(self._increase.land_and_repair(marked))
         return stats
 
     # ------------------------------------------------------------------ #

@@ -143,13 +143,23 @@ class StableTreeLabelling:
         self._batch_engine = BatchedParetoEngine(self.graph, self.hierarchy, self.labels)
         self._ls_batch_engine = BatchedLabelSearchEngine(self.graph, self.hierarchy, self.labels)
         # The shard planner's regions are topology-only, so switching
-        # maintenance modes keeps the (lazily computed) plan regions; the
-        # bisection is only paid on the first sharded batch.  The process
-        # backend (live worker processes bound to the same graph/label
-        # objects) survives mode switches for the same reason.
-        if hasattr(self, "_shard_engine"):
-            planner = self._shard_engine.planner
+        # maintenance modes or adopting a label store keeps the (lazily
+        # computed) plan regions; the bisection is only paid on the first
+        # sharded batch.  The process backend (live worker processes bound
+        # to the same graph) survives for the same reason.  Both are reused
+        # only while they were built over this graph and hierarchy: a
+        # structural rebuild swaps those in, and a planner over the old
+        # vertex set would misplace (or index past) the new vertices.
+        shard_engine = getattr(self, "_shard_engine", None)
+        if (
+            shard_engine is not None
+            and shard_engine.graph is self.graph
+            and shard_engine.hierarchy is self.hierarchy
+        ):
+            planner = shard_engine.planner
         else:
+            if shard_engine is not None:
+                self._release_backend()
             planner = ShardPlanner(self.graph)
             self._process_backend: ShardBackend | None = None
         self._shard_engine = ShardedBatchEngine(
@@ -310,9 +320,8 @@ class StableTreeLabelling:
           from scratch in place (``stats.extra["rebuild_fallback"]`` records
           the fallback).  ``config.policy`` defaults to :attr:`batch_policy`.
 
-        Backend, engine family, kernel and policy come from ``config`` (a
-        per-call :class:`STLConfig` override, defaulting to the index's own
-        config):
+        Backend, engine family and policy come from ``config`` (a per-call
+        :class:`STLConfig` override, defaulting to the index's own config):
 
         * ``config.backend`` selects the shard backend: ``"thread"`` or
           ``"process"`` force that worker-pool engine (bypassing the rebuild
@@ -328,11 +337,11 @@ class StableTreeLabelling:
           identical labels, so both choices are purely performance matters;
           ``stats.extra["label_search_engine"]`` records a Label Search
           batch.
-        * ``config.kernel`` pins the serial Label Search engine to its
-          ``"scalar"`` heaps or its ``"vector"`` frontier rounds (numpy);
-          ``None`` takes vector when numpy is installed.  Labels are
-          bit-identical either way; ``stats.extra["vector_kernel"]`` and
-          ``["rounds"]`` record a vector batch.
+        The serial Label Search engine runs its vector frontier rounds when
+        numpy is installed and its scalar heaps otherwise; ``config.kernel``
+        does not pin it (it selects only the :meth:`batch_query` kernel).
+        Labels are bit-identical either way; ``stats.extra["vector_kernel"]``
+        and ``["rounds"]`` record a vector batch.
 
         ``updates_processed`` counts every update consumed from the input
         batch, including NEUTRAL updates and updates folded away by
@@ -372,7 +381,7 @@ class StableTreeLabelling:
                 stats.merge(self.apply_update(update))
             used_engine = self._maintenance_mode
         elif used_engine == "label_search":
-            stats = self._ls_batch_engine.apply(net.updates, kernel=cfg.kernel)
+            stats = self._ls_batch_engine.apply(net.updates)
         else:
             stats = self._batch_engine.apply(net.updates)
         stats.updates_processed += total - len(net)

@@ -5,7 +5,7 @@ weight-update machinery:
 
 * **edge deletion** -- raise the edge weight to infinity and run the
   weight-increase maintenance (the hierarchy is untouched),
-* **vertex deletion** -- delete all incident edges,
+* **vertex deletion** -- delete all incident edges, as one batch,
 * **edge insertion** -- if the edge joins two vertices that are comparable in
   the hierarchy (one is an ancestor of the other, the common case for new
   road segments), it can be handled as a weight decrease from infinity; if
@@ -45,12 +45,13 @@ class StructuralUpdater:
         return self.stl.remove_edge(u, v)
 
     def delete_vertex(self, v: int) -> MaintenanceStats:
-        """Logically delete vertex ``v`` by deleting all its incident edges."""
-        stats = MaintenanceStats()
-        for nbr, weight in list(self.stl.graph.neighbors(v)):
-            if not math.isinf(weight):
-                stats.merge(self.stl.remove_edge(v, nbr))
-        return stats
+        """Logically delete vertex ``v``: one batch closing every incident edge."""
+        closures = [
+            EdgeUpdate(v, nbr, weight, math.inf)
+            for nbr, weight in self.stl.graph.neighbors(v)
+            if not math.isinf(weight)
+        ]
+        return self.stl.apply_batch(closures)
 
     # ------------------------------------------------------------------ #
     # Insertions

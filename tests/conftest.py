@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
 from hypothesis import settings
 
+from repro.core import kernels
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import (
     city_road_network,
@@ -86,6 +88,18 @@ def paired_indexes(
     serial = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=leaf_size))
     other = StableTreeLabelling(graph.copy(), serial.hierarchy, serial.labels.copy())
     return serial, other
+
+
+def apply_batch_without_numpy(stl: StableTreeLabelling, batch, config=None):
+    """``stl.apply_batch`` with numpy switched off for the call.
+
+    The batched Label Search engine then runs its scalar heaps, as on an
+    interpreter without numpy: its kernel follows the platform, and no
+    config option pins it.  The reference side of every scalar-vs-vector
+    comparison goes through here.
+    """
+    with patch.object(kernels, "HAS_NUMPY", False):
+        return stl.apply_batch(batch, config=config)
 
 
 @pytest.fixture

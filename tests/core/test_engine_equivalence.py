@@ -17,9 +17,10 @@ Every scenario asserts against :meth:`repro.core.labelling.STLLabels
 strongest oracle available, independent of any maintenance code path.
 
 The ``label_search-serial`` cell -- the one the default config routes every
-batch to -- has a third dimension, its kernel: the scalar heaps and the
-vector frontier rounds each run the whole matrix, and
-:class:`TestVectorKernelBitIdentity` additionally holds the two to
+batch to -- runs twice, because its kernel follows the platform: once with
+numpy switched off (the scalar heaps of the per-kind Label Search classes)
+and once with it (the vector frontier rounds).  Both run the whole matrix,
+and :class:`TestVectorKernelBitIdentity` additionally holds the two to
 *bit-identical* label buffers after every batch of every scenario.
 
 CI runs this file as its own matrix job with a hard timeout and
@@ -30,8 +31,8 @@ reason.
 
 import pytest
 
+from repro.core import kernels
 from repro.core.batch import BatchPolicy
-from repro.core.kernels import HAS_NUMPY
 from repro.core.labelling import build_labels
 from repro.core.shard import ShardPlanner
 from repro.core.stl import StableTreeLabelling
@@ -39,14 +40,15 @@ from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.workloads.updates import mixed_update_stream
 from repro.core.config import STLConfig
-from tests.conftest import paired_indexes, random_mixed_batch
+from tests.conftest import apply_batch_without_numpy, paired_indexes, random_mixed_batch
 
 ENGINES = ("pareto", "label_search")
 BACKENDS = ("serial", "thread", "process")
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy (repro[fast])")
+needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
 
-#: The matrix cells; ``label_search-serial`` is split by kernel.
+#: The matrix cells; ``label_search-serial`` is split by the kernel the
+#: platform gives it (``"scalar"``: numpy switched off for the test).
 CELLS = [
     pytest.param((engine, backend, None), id=f"{engine}-{backend}")
     for engine in ENGINES
@@ -65,10 +67,16 @@ WORKERS = 4
 
 
 @pytest.fixture(params=CELLS)
-def cell(request) -> STLConfig:
-    """One cell of the equivalence matrix, as the config that pins it."""
+def cell(request, monkeypatch) -> STLConfig:
+    """One cell of the equivalence matrix, as the config that pins it.
+
+    The scalar cell switches numpy off for the whole test, since no config
+    option pins the serial Label Search engine's kernel.
+    """
     engine, backend, kernel = request.param
-    return STLConfig(engine=engine, backend=backend, kernel=kernel)
+    if kernel == "scalar":
+        monkeypatch.setattr(kernels, "HAS_NUMPY", False)
+    return STLConfig(engine=engine, backend=backend)
 
 
 @pytest.fixture
@@ -183,13 +191,10 @@ class TestVectorKernelBitIdentity:
     def test_vector_equals_scalar_bit_for_bit(self, small_grid, scenario):
         scalar, vector = paired_indexes(small_grid)
         policy = BatchPolicy(rebuild_fraction=None)
-        pinned = {
-            kernel: STLConfig(engine="label_search", backend="serial", kernel=kernel, policy=policy)
-            for kernel in ("scalar", "vector")
-        }
+        config = STLConfig(engine="label_search", backend="serial", policy=policy)
         for batch in scenario(scalar.graph):
-            reference = scalar.apply_batch(batch, config=pinned["scalar"])
-            stats = vector.apply_batch(batch, config=pinned["vector"])
+            reference = apply_batch_without_numpy(scalar, batch, config)
+            stats = vector.apply_batch(batch, config=config)
             assert "vector_kernel" not in reference.extra
             assert stats.extra["vector_kernel"] == 1 and stats.extra["rounds"] > 0
             assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()

@@ -26,24 +26,19 @@ from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import ConfigError
-from tests.conftest import paired_indexes, random_mixed_batch
+from tests.conftest import apply_batch_without_numpy, paired_indexes, random_mixed_batch
 
 needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
 
 NO_REBUILD = BatchPolicy(rebuild_fraction=None)
-SCALAR = STLConfig(engine="label_search", backend="serial", kernel="scalar", policy=NO_REBUILD)
-
-
-def vector_config() -> STLConfig:
-    # Built on demand: naming the vector kernel without numpy is a ConfigError.
-    return SCALAR.replace(kernel="vector")
+LABEL_SEARCH = STLConfig(engine="label_search", backend="serial", policy=NO_REBUILD)
 
 
 def apply_to_both(scalar, vector, batch):
     """One batch through both kernels; labels must match byte for byte and
     equal a from-scratch rebuild.  Returns both stats objects."""
-    reference = scalar.apply_batch(batch, config=SCALAR)
-    stats = vector.apply_batch(batch, config=vector_config())
+    reference = apply_batch_without_numpy(scalar, batch, LABEL_SEARCH)
+    stats = vector.apply_batch(batch, config=LABEL_SEARCH)
     assert stats.extra["vector_kernel"] == 1
     assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
     fresh = build_labels(vector.graph, vector.hierarchy)
@@ -107,7 +102,7 @@ class TestVectorKernelCases:
             process = STLConfig(
                 backend="process", policy=BatchPolicy(rebuild_fraction=None, max_workers=2)
             )
-            scalar.apply_batch(warm, config=SCALAR)
+            apply_batch_without_numpy(scalar, warm, LABEL_SEARCH)
             vector.apply_batch(warm, config=process)
             assert vector.labels.is_shared
             for seed in (2, 3):
@@ -144,7 +139,7 @@ class TestVectorKernelCases:
         scalar = StableTreeLabelling(medium_grid.copy(), whole.hierarchy, whole.labels.copy())
         for seed in range(2):
             batch = random_mixed_batch(whole.graph, 50, seed=seed)
-            expected = whole.apply_batch(batch, config=vector_config())
+            expected = whole.apply_batch(batch, config=LABEL_SEARCH)
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "_FRONTIER_CHUNK_ENTRIES", 5)
                 _, stats = apply_to_both(scalar, chunked, batch)
@@ -160,10 +155,10 @@ class TestVectorKernelCases:
         rising = UpdateBatch(
             [EdgeUpdate(u, v, w, w * 3.0) for u, v, w in list(medium_grid.edges())[::4]]
         )
-        up = vector.apply_batch(rising, config=vector_config())
+        up = vector.apply_batch(rising, config=LABEL_SEARCH)
         assert up.labels_changed == up.vertices_affected > 0
         before = vector.labels.copy()
-        down = vector.apply_batch(rising.reversed(), config=vector_config())
+        down = vector.apply_batch(rising.reversed(), config=LABEL_SEARCH)
         rewritten = sum(a != b for a, b in zip(before.view, vector.labels.view))
         assert down.labels_changed == rewritten
         assert down.heap_pushes >= rewritten and down.extra["rounds"] > 1
@@ -181,15 +176,16 @@ class TestVectorKernelCases:
         """An engine created long after the graph started changing."""
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
         for seed in range(3):
-            stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=seed), config=SCALAR)
+            batch = random_mixed_batch(stl.graph, 20, seed=seed)
+            apply_batch_without_numpy(stl, batch, LABEL_SEARCH)
         engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
-        engine.apply(batch.updates, kernel="vector")
+        assert engine.apply(batch.updates).extra["vector_kernel"] == 1
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
 
 
 class TestKernelSelection:
-    """Selection is by what the interpreter offers; ``STLConfig.kernel`` pins it."""
+    """Selection is by what the interpreter offers; no config option pins it."""
 
     def test_default_config_runs_label_search_serial(self, small_grid):
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
@@ -198,6 +194,14 @@ class TestKernelSelection:
         assert "sharded" not in stats.extra and "process_workers" not in stats.extra
         assert ("vector_kernel" in stats.extra) == kernels.HAS_NUMPY
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+    @needs_numpy
+    def test_config_kernel_does_not_pin_the_batch_engine(self, small_grid):
+        """``STLConfig.kernel`` selects the ``batch_query`` kernel only."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        config = LABEL_SEARCH.replace(kernel="scalar")
+        stats = stl.apply_batch(random_mixed_batch(stl.graph, 12, seed=5), config=config)
+        assert stats.extra["vector_kernel"] == 1
 
     def test_without_numpy_the_scalar_kernels_run(self, small_grid, monkeypatch):
         """What the no-numpy CI leg sees, shown on every leg."""
@@ -250,10 +254,10 @@ class TestGraphArrays:
         self.assert_current(graph)
 
         # Batches on either kernel, and on the other engine family.
-        stl.apply_batch(random_mixed_batch(graph, 30, seed=1), config=SCALAR)
+        apply_batch_without_numpy(stl, random_mixed_batch(graph, 30, seed=1), LABEL_SEARCH)
         self.assert_current(graph)
         if kernels.HAS_NUMPY:
-            stl.apply_batch(random_mixed_batch(graph, 30, seed=2), config=vector_config())
+            stl.apply_batch(random_mixed_batch(graph, 30, seed=2), config=LABEL_SEARCH)
             self.assert_current(graph)
         stl.apply_batch(random_mixed_batch(graph, 30, seed=3), config=STLConfig(engine="pareto"))
         self.assert_current(graph)

@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+from repro.core.batch import BatchPolicy
+from repro.core.config import STLConfig
 from repro.core.labelling import verify_labels
 from repro.core.stl import StableTreeLabelling
 from repro.core.structural import StructuralUpdater
+from repro.graph.generators import grid_road_network
+from repro.graph.updates import EdgeUpdate
 from repro.hierarchy.builder import HierarchyOptions
 from tests.conftest import nx_all_pairs
 
@@ -103,4 +107,26 @@ class TestInsertions:
         assert new_id == old_n
         assert stl.graph.num_vertices == old_n + 1
         assert stl.query(new_id, 0) == pytest.approx(3.0)
+        _assert_queries_match_truth(stl)
+
+
+class TestShardedAfterStructuralRebuild:
+    def test_thread_batch_after_insert_vertex_plans_over_the_new_graph(self):
+        # The rebuild swaps in a graph with one more vertex; a shard planner
+        # kept from before it maps only the old vertex set and indexed past
+        # it on the first batch touching the new vertex.
+        stl = StableTreeLabelling.build(
+            grid_road_network(12, 12, seed=3), HierarchyOptions(leaf_size=8)
+        )
+        updater = StructuralUpdater(stl, HierarchyOptions(leaf_size=8))
+        new_id = updater.insert_vertex([(0, 3.0), (5, 4.0), (17, 2.5)])
+        updates = [
+            EdgeUpdate(new_id, 0, 3.0, 6.0),
+            EdgeUpdate(new_id, 5, 4.0, 1.5),
+            EdgeUpdate(new_id, 17, 2.5, math.inf),
+        ]
+        config = STLConfig(backend="thread", policy=BatchPolicy(rebuild_fraction=None))
+        stats = stl.apply_batch(updates, config=config)
+        assert stats.extra["sharded"] == 1
+        assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
         _assert_queries_match_truth(stl)

@@ -24,6 +24,7 @@ from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.rng import make_rng
+from tests.conftest import apply_batch_without_numpy
 
 pytestmark = pytest.mark.skipif(
     not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])"
@@ -144,8 +145,8 @@ class TestBatchedLabelSearchKernels:
         scalar = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=4))
         vector = StableTreeLabelling(graph.copy(), scalar.hierarchy, scalar.labels.copy())
         for batch in rounds:
-            reference = scalar.apply_batch(batch, config=base.replace(kernel="scalar"))
-            stats = vector.apply_batch(batch, config=base.replace(kernel="vector"))
+            reference = apply_batch_without_numpy(scalar, batch, base)
+            stats = vector.apply_batch(batch, config=base)
             assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
             assert stats.labels_changed == reference.labels_changed
             assert stats.vertices_affected == reference.vertices_affected
