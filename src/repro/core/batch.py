@@ -40,13 +40,12 @@ suffix length (the suffix is old-valid) nor undershoots the true new
 distance.  Tests verify both passes entry-wise against from-scratch rebuilds.
 
 :class:`BatchPolicy` additionally decides *which* processing strategy a batch
-deserves, by a three-way crossover on the net batch size:
+deserves, by one crossover on the net batch size:
 
-* tiny batches run through the historical **per-update loop** -- the batch
-  machinery has fixed costs that one or two updates never amortise,
 * past a configurable fraction of affected edges a from-scratch label
   **rebuild** (the Figure 10 baseline) is cheaper than any maintenance,
-* everything in between runs on the serial **batched Label Search** engine
+* every smaller batch, down to a single update, runs on the serial
+  **batched Label Search** engine
   (:class:`repro.core.batch_label_search.BatchedLabelSearchEngine`), the
   one cell of the engine x backend matrix that has won a committed
   measurement at every batch size.
@@ -107,7 +106,6 @@ class BatchPolicy:
     ===========================  =====================================
     net batch size               strategy
     ===========================  =====================================
-    ``< batched_min_updates``    per-update loop (``apply_update``)
     ``> rebuild_fraction * m``   in-place label rebuild (and at least
                                  ``rebuild_min_updates``)
     everything else              serial batched Label Search
@@ -149,10 +147,6 @@ class BatchPolicy:
         edges), so the default is 4% (781 updates there).  Rush-hour
         congestion batches are more local than random ones and maintain
         cheaper, so their 601-update class still maintains.
-    batched_min_updates:
-        Below this many net updates the batch machinery (precondition scan,
-        kind partition, merged phases) costs more than it shares; the batch
-        is processed through the plain per-update loop instead.
     max_workers:
         Worker-pool size for the sharded engines; ``None`` lets each engine
         size its pool to ``min(#shards, os.cpu_count())``.
@@ -160,7 +154,6 @@ class BatchPolicy:
 
     rebuild_min_updates: int = 64
     rebuild_fraction: float | None = 0.04
-    batched_min_updates: int = 3
     max_workers: int | None = None
 
     def should_rebuild(self, num_net_updates: int, num_edges: int) -> bool:
@@ -170,10 +163,6 @@ class BatchPolicy:
         if num_net_updates < self.rebuild_min_updates:
             return False
         return num_net_updates > self.rebuild_fraction * max(1, num_edges)
-
-    def should_loop(self, num_net_updates: int) -> bool:
-        """Whether the batch is too small for the batch machinery."""
-        return num_net_updates < self.batched_min_updates
 
 
 def validate_coalesced(graph: Graph, updates: Sequence[EdgeUpdate]) -> None:

@@ -28,7 +28,9 @@ bit-identical labels.  The choice follows the platform
 (:data:`repro.core.kernels.HAS_NUMPY`); no option pins it.
 
 This engine is what :class:`repro.core.batch.BatchPolicy` routes every
-batch to by default (``label_search/serial``).  In the engine x backend
+batch to by default (``label_search/serial``), and what
+:meth:`repro.core.stl.StableTreeLabelling.apply_update` hands every single
+update to under Label Search, as a one-update batch.  In the engine x backend
 matrix (see docs/architecture.md) it also serves as the degenerate-plan and
 residual fallback of the ``thread``/``process`` backends, whose confined
 shard workers run the scalar kernels of :mod:`repro.core.label_search`
@@ -91,6 +93,9 @@ class BatchedLabelSearchEngine:
         self.labels = labels
         self._increase = LabelSearchIncrease(graph, hierarchy, labels)
         self._decrease = LabelSearchDecrease(graph, hierarchy, labels)
+        # The vector passes' boolean mask over entry positions: allocated
+        # once, and all False between calls (each pass clears what it set).
+        self._mask: Any = None
 
     def apply(self, updates: Sequence[EdgeUpdate]) -> MaintenanceStats:
         """Apply one coalesced batch (at most one net update per edge).
@@ -142,15 +147,30 @@ class BatchedLabelSearchEngine:
         a, b = zip(*(_orient(update, tau) for update in updates))
         return kernels.LabelSearchRounds(self.graph, self.labels, self.hierarchy), a, b
 
+    def _take_mask(self, size: int) -> Any:
+        """The engine's mask, taken for one pass.
+
+        The pass hands it back (all ``False``) when it finishes; a pass that
+        raises may leave entries set, and its mask is dropped with it.
+        """
+        mask, self._mask = self._mask, None
+        if mask is None or len(mask) != size:
+            mask = kernels.empty_mask(size)
+        return mask
+
     def _land_weights(self, updates: Sequence[EdgeUpdate]) -> None:
         for update in updates:
             self.graph.set_weight(update.u, update.v, update.new_weight)
 
     def _apply_increases_vector(self, increases: Sequence[EdgeUpdate]) -> MaintenanceStats:
         search, a, b = self._rounds_over(increases)
-        marked, seeded = search.mark_increases(a, b, [u.old_weight for u in increases])
+        marked = self._take_mask(len(search.entries))
+        positions, vertices, seeded = search.mark_increases(
+            a, b, [u.old_weight for u in increases], marked
+        )
         self._land_weights(increases)
-        affected = search.repair_marked(marked)
+        affected = search.repair_marked(positions, vertices, marked)
+        self._mask = marked
         stats = MaintenanceStats(
             ancestors_touched=seeded,
             labels_changed=affected,
@@ -163,7 +183,9 @@ class BatchedLabelSearchEngine:
     def _apply_decreases_vector(self, decreases: Sequence[EdgeUpdate]) -> MaintenanceStats:
         search, a, b = self._rounds_over(decreases)
         self._land_weights(decreases)
-        seeded, changed = search.decrease(a, b, [u.new_weight for u in decreases])
+        mask = self._take_mask(len(search.entries))
+        seeded, changed = search.decrease(a, b, [u.new_weight for u in decreases], mask)
+        self._mask = mask
         stats = MaintenanceStats(
             ancestors_touched=seeded, labels_changed=changed, heap_pushes=search.enqueued
         )

@@ -9,8 +9,8 @@ field      selects                                     values
 backend    shard backend for batch maintenance         ``None`` / ``"serial"``
                                                        / ``"thread"`` /
                                                        ``"process"``
-engine     batch engine family                         ``None`` / ``"pareto"``
-                                                       / ``"label_search"``
+engine     maintenance family (batches and single      ``None`` / ``"pareto"``
+           updates)                                    / ``"label_search"``
 kernel     kernel of ``batch_query``                   ``None`` / ``"scalar"``
                                                        / ``"vector"``
 policy     crossover thresholds                        a :class:`BatchPolicy`
@@ -88,12 +88,13 @@ class STLConfig:
     def maintenance(self) -> str:
         """The per-update maintenance mode this config implies.
 
-        The ``engine`` field names the batch engine family; the per-update
-        algorithms of the same family serve single updates, so the two
-        selections collapse into one: ``"label_search"`` when the engine is
-        Label Search, the default ``"pareto"`` otherwise.
+        The ``engine`` field names the batch engine family, and single
+        updates follow it: ``"pareto"`` when the engine is Pareto Search
+        (the per-update Pareto classes, STL-P), the default
+        ``"label_search"`` otherwise (each update a one-update batch of the
+        batched Label Search engine).
         """
-        return "label_search" if self.engine == "label_search" else "pareto"
+        return "pareto" if self.engine == "pareto" else "label_search"
 
     def replace(self, **changes: Any) -> "STLConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.utils.errors import ConfigError
@@ -471,6 +472,32 @@ def fill_unreachable(view: memoryview) -> None:
 #: (16384 measured +16% on the 10k serving workload, 4096 under +3%).
 _FRONTIER_CHUNK_ENTRIES = 4096
 
+#: Frontier width below which :class:`LabelSearchRounds` drains a frontier
+#: on a scalar heap (or stack) instead of running a round; the drain hands
+#: back to the rounds once its heap grows past the same width.  Measured one
+#: update at a time (2-CPU x86 container, Python 3.11, numpy 2.4; each edge
+#: doubled, then restored; per update the faster of two passes):
+#:
+#: =========  ===========================  ============================
+#: width      10k highway grid, 600        4,000-vertex path, 80
+#:            updates: total / p50         updates: total
+#: =========  ===========================  ============================
+#: 0 (none)   1.57 s / 1.26 ms             5.01 s
+#: 8          1.53 s / 1.12 ms             0.43 s
+#: 16         1.47 s / 1.00 ms             0.41 s
+#: 32         1.71 s / 1.18 ms             0.69 s
+#: 64         1.73 s / 1.28 ms             0.47 s
+#: 256        3.62 s / 2.04 ms             0.47 s
+#: =========  ===========================  ============================
+#:
+#: The scalar Label Search classes take 0.33 s on the path.
+_DRAIN_WIDTH = 16
+
+
+def empty_mask(size: int) -> Any:
+    """An all-``False`` boolean mask over ``size`` entry positions."""
+    return _np.zeros(size, dtype=bool)
+
 
 def _runs(first: Any, lengths: Any) -> tuple[Any, Any]:
     """Concatenated index runs ``first[k] .. first[k] + lengths[k] - 1``.
@@ -498,16 +525,27 @@ class LabelSearchRounds:
     ancestor and ``offsets[u] + i`` exists -- exactly the restriction of the
     scalar kernels in :mod:`repro.core.label_search`.
 
+    A frontier narrower than :data:`_DRAIN_WIDTH` entries is not worth a
+    round: its numpy calls cost more than the arcs they relax.  It goes to a
+    scalar drain over the same flat positions instead -- a heap for the
+    relax, a stack for the mark search -- which reads the store's
+    ``'d'`` view, its offsets, the graph's CSR arrays and ``tau`` as plain
+    Python values, and hands what it holds back to the rounds once that
+    grows past the width again.
+
     The scalar kernels settle entries in distance order on a heap; the
     rounds here are label-correcting instead, and reach the same labels bit
     for bit: both compute, per entry, the minimum over walks of the
     left-to-right float64 sum along the walk, and float addition of a
     non-negative weight is monotone, so that minimum is the unique fixed
     point of ``L(v)[i] = min(L(v)[i], min_u fl(L(u)[i] + w(u, v)))``
-    whatever order the relaxations run in.
+    whatever order the relaxations run in -- rounds, the drain's heap, or
+    any interleaving of the two.  The mark search's result is a closure
+    (every entry reachable from the seeds under a fixed predicate on the
+    old labels and weights), so it does not depend on the order either.
 
-    ``rounds`` and ``enqueued`` count the frontiers processed and the
-    entries placed on them.
+    ``rounds`` counts the frontiers processed (a drain counts as one) and
+    ``enqueued`` the entries placed on a frontier or on a drain's heap.
     """
 
     def __init__(self, graph: "Graph", labels: "STLLabels", hierarchy: "StableTreeHierarchy"):
@@ -518,10 +556,16 @@ class LabelSearchRounds:
         )
         # Live views: the graph writes every weight change into ``weights``
         # in place, so the rounds always read the current weights.
-        indptr, neighbors, weights = graph.csr()
+        self.csr = graph.csr()
+        indptr, neighbors, weights = self.csr
         self.indptr = _np.frombuffer(indptr, dtype=_np.int64)
+        self.degree = _np.diff(self.indptr)
         self.neighbors = _np.frombuffer(neighbors, dtype=_np.int64)
         self.weights = _np.frombuffer(weights, dtype=_np.float64)
+        # The scalar drains read the same memory through Python containers.
+        self.view: Any = labels.view
+        self.flat_offsets = labels.offsets
+        self.flat_tau = hierarchy.tau
         self.rounds = 0
         self.enqueued = 0
 
@@ -555,9 +599,8 @@ class LabelSearchRounds:
         ``L(v)[i] + w(v, u)``.
         """
         index = positions - self.offsets[vertices]
-        first = self.indptr[vertices]
-        degree = self.indptr[vertices + 1] - first
-        arcs, _ = _runs(first, degree)
+        degree = self.degree[vertices]
+        arcs, _ = _runs(self.indptr[vertices], degree)
         targets = self.neighbors[arcs]
         index = _np.repeat(index, degree)
         carries = self.tau[targets] > index
@@ -576,9 +619,10 @@ class LabelSearchRounds:
         head = _np.ones(len(positions), dtype=bool)
         head[1:] = positions[1:] != positions[:-1]
         starts = _np.flatnonzero(head)
+        landed = positions[starts]
         if len(starts):
-            self.entries[positions[starts]] = _np.minimum.reduceat(candidates[order], starts)
-        return vertices[order[starts]], positions[starts]
+            self.entries[landed] = _np.minimum.reduceat(candidates[order], starts)
+        return vertices[order[starts]], landed
 
     @staticmethod
     def _chunks(size: int) -> list[slice]:
@@ -586,11 +630,17 @@ class LabelSearchRounds:
         step = _FRONTIER_CHUNK_ENTRIES
         return [slice(lo, lo + step) for lo in range(0, size, step)]
 
+    def _arcs(self, v: int) -> Any:
+        """``(neighbour, weight)`` pairs of ``v`` from the CSR arrays."""
+        indptr, neighbors, weights = self.csr
+        lo, hi = indptr[v], indptr[v + 1]
+        return zip(neighbors[lo:hi], weights[lo:hi])
+
     # -- increases (Algorithm 2) -------------------------------------------- #
 
     def mark_increases(
-        self, a: Sequence[int], b: Sequence[int], w_old: Sequence[float]
-    ) -> tuple[Any, int]:
+        self, a: Sequence[int], b: Sequence[int], w_old: Sequence[float], marked: Any
+    ) -> tuple[Any, Any, int]:
         """Mark every entry whose old shortest path uses an increased edge.
 
         Runs on the **old** weights and only reads the labels.  ``(a, b)``
@@ -601,10 +651,16 @@ class LabelSearchRounds:
         already-marked neighbour realises it.  A true affected entry has a
         marked predecessor on its old shortest path whose entry plus the arc
         weight equals it up to re-association, so nothing affected is missed;
-        over-marking only costs repair work.  Returns the boolean mask over
-        entry positions and the number of distinct label indexes seeded.
+        over-marking only costs repair work.
+
+        ``marked`` is an all-``False`` boolean mask over entry positions,
+        owned by the caller; on return it is set at exactly the marked
+        positions, and :meth:`repair_marked` clears them again.  Returns the
+        marked positions, their vertices and the number of distinct label
+        indexes seeded.  Up to :data:`_FRONTIER_CHUNK_ENTRIES` marks, the
+        positions are the frontiers' own arrays, so a small search costs
+        nothing proportional to the store.
         """
-        marked = _np.zeros(len(self.entries), dtype=bool)
         found_v: list[Any] = []
         found_p: list[Any] = []
         for va, pa, vb, pb, w in self._edge_rows(a, b, w_old):
@@ -614,68 +670,129 @@ class LabelSearchRounds:
         positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
         vertices = _np.concatenate(found_v)[first]
         marked[positions] = True
-        seeded_indexes = len(_np.unique(positions - self.offsets[vertices]))
-
+        seeded_indexes = _distinct(positions - self.offsets[vertices])
+        self.enqueued += len(positions)
+        # Every marked entry is placed on a frontier exactly once, so the
+        # new entries of all frontiers together are the marked set.  Past
+        # one chunk's worth they are read back from the mask instead: one
+        # scan of the store, paid only by a call that marked that much.
+        # (Holding every round's arrays to the end of a large search left
+        # the serving workload's heap fragmented: +19% peak RSS.)
+        marks: list[tuple[Any, Any]] | None = [(vertices, positions)]
+        count = len(positions)
         while len(positions):
             self.rounds += 1
-            self.enqueued += len(positions)
-            found_v, found_p = [], []
-            for part in self._chunks(len(positions)):
-                targets, reached, candidates = self._candidates(vertices[part], positions[part])
-                current = self.entries[reached]
-                with _np.errstate(invalid="ignore"):
-                    hit = ~marked[reached] & _np.isfinite(current) & _realises(candidates, current)
-                reached, first = _np.unique(reached[hit], return_index=True)
-                # Marking per chunk keeps later chunks (and rounds) from
-                # finding the same entry again.
-                marked[reached] = True
-                found_v.append(targets[hit][first])
-                found_p.append(reached)
-            vertices = _np.concatenate(found_v)
-            positions = _np.concatenate(found_p)
-        return marked, seeded_indexes
+            if len(positions) < _DRAIN_WIDTH:
+                new_v, new_p, vertices, positions = self._drain_marks(vertices, positions, marked)
+            else:
+                found_v, found_p = [], []
+                for part in self._chunks(len(positions)):
+                    targets, reached, candidates = self._candidates(vertices[part], positions[part])
+                    current = self.entries[reached]
+                    with _np.errstate(invalid="ignore"):
+                        hit = (
+                            ~marked[reached]
+                            & _np.isfinite(current)
+                            & _realises(candidates, current)
+                        )
+                    reached, first = _np.unique(reached[hit], return_index=True)
+                    # Marking per chunk keeps later chunks (and rounds) from
+                    # finding the same entry again.
+                    marked[reached] = True
+                    found_v.append(targets[hit][first])
+                    found_p.append(reached)
+                new_v = vertices = _np.concatenate(found_v)
+                new_p = positions = _np.concatenate(found_p)
+            self.enqueued += len(new_p)
+            count += len(new_p)
+            if marks is not None:
+                marks.append((new_v, new_p))
+                if count > _FRONTIER_CHUNK_ENTRIES:
+                    marks = None
+        if marks is None:
+            positions = _np.flatnonzero(marked)
+            vertices = _np.searchsorted(self.offsets, positions, side="right") - 1
+            return positions, vertices, seeded_indexes
+        return (
+            _np.concatenate([p for _, p in marks]),
+            _np.concatenate([v for v, _ in marks]),
+            seeded_indexes,
+        )
 
-    def repair_marked(self, marked: Any) -> int:
+    def _drain_marks(self, vertices: Any, positions: Any, marked: Any) -> tuple[Any, ...]:
+        """Grow the marked set from a narrow frontier on a stack, in Python.
+
+        The predicate is the round's, written out on plain floats.  Returns
+        the vertices and positions it marked, then those of the marked
+        entries it did not expand: none once the search is exhausted, or
+        the whole stack -- the next round's frontier -- once the stack
+        outgrows :data:`_DRAIN_WIDTH`.
+        """
+        view, offsets, tau = self.view, self.flat_offsets, self.flat_tau
+        flags = memoryview(marked)
+        stack = list(zip(vertices.tolist(), positions.tolist()))
+        new: list[tuple[int, int]] = []
+        while stack and len(stack) <= _DRAIN_WIDTH:
+            v, p = stack.pop()
+            d = view[p]
+            i = p - offsets[v]
+            for u, w in self._arcs(v):
+                if tau[u] <= i:
+                    continue
+                q = offsets[u] + i
+                entry = view[q]
+                if flags[q] or entry == math.inf:
+                    continue
+                # on_old_shortest_path, on a finite entry.
+                if abs(d + w - entry) <= MARK_SLACK * max(1.0, entry):
+                    flags[q] = True
+                    stack.append((u, q))
+                    new.append((u, q))
+        return (*_frontier(new), *_frontier(stack))
+
+    def repair_marked(self, positions: Any, vertices: Any, marked: Any) -> int:
         """Recompute every marked entry (Function Repair; Lemma 5.5).
 
-        Requires the **new** weights in the graph.  First bounds each marked
-        entry from its unmarked neighbours -- one gather and a segment
-        minimum per chunk; a neighbour with ``tau == i`` is the ancestor
-        itself, whose entry is 0 -- then relaxes outward from the marked
-        entries to the fixed point.  Returns the number of marked entries,
-        all of which were rewritten.
+        Requires the **new** weights in the graph, and the marks of
+        :meth:`mark_increases`: ``positions`` and their ``vertices``, set in
+        the mask ``marked``, which is all ``False`` again on return.  First
+        bounds each marked entry from its unmarked neighbours -- one gather
+        and a segment minimum per chunk; a neighbour with ``tau == i`` is the
+        ancestor itself, whose entry is 0 -- then relaxes outward from the
+        marked entries to the fixed point.  Returns the number of marked
+        entries, all of which were rewritten.
         """
-        affected = _np.flatnonzero(marked)
-        owners = _np.searchsorted(self.offsets, affected, side="right") - 1
-        for part in self._chunks(len(affected)):
-            positions = affected[part]
-            vertices = owners[part]
-            first = self.indptr[vertices]
-            degree = self.indptr[vertices + 1] - first
+        for part in self._chunks(len(positions)):
+            chunk = positions[part]
+            owners = vertices[part]
+            degree = self.degree[owners]
             # A marked vertex was reached over an edge, so no run is empty.
-            arcs, begins = _runs(first, degree)
+            arcs, begins = _runs(self.indptr[owners], degree)
             sources = self.neighbors[arcs]
-            index = _np.repeat(positions - self.offsets[vertices], degree)
+            index = _np.repeat(chunk - self.offsets[owners], degree)
             usable = self.tau[sources] >= index
             read = _np.where(usable, self.offsets[sources] + index, 0)
             usable &= ~marked[read]
             bounds = _np.where(usable, self.entries[read] + self.weights[arcs], math.inf)
-            self.entries[positions] = _np.minimum.reduceat(bounds, begins)
-        reachable = _np.isfinite(self.entries[affected])
-        self.relax(owners[reachable], affected[reachable])
-        return len(affected)
+            self.entries[chunk] = _np.minimum.reduceat(bounds, begins)
+        marked[positions] = False
+        reachable = _np.isfinite(self.entries[positions])
+        self.relax(vertices[reachable], positions[reachable])
+        return len(positions)
 
     # -- decreases (Algorithm 1) -------------------------------------------- #
 
     def decrease(
-        self, a: Sequence[int], b: Sequence[int], w_new: Sequence[float]
+        self, a: Sequence[int], b: Sequence[int], w_new: Sequence[float], changed: Any
     ) -> tuple[int, int]:
         """Repair the labels after a group of weight decreases.
 
         ``(a, b)`` are the edges oriented ``tau(a) < tau(b)`` and the new
         weights must already be in the graph.  Writes the entries a decreased
         edge improves directly -- the first frontier -- and relaxes outward
-        from them.  Returns the number of distinct label indexes seeded and
+        from them.  ``changed`` is an all-``False`` boolean mask over entry
+        positions, as :meth:`mark_increases` takes, and all ``False`` again
+        on return.  Returns the number of distinct label indexes seeded and
         of distinct entries rewritten.
         """
         found_v: list[Any] = []
@@ -692,10 +809,12 @@ class LabelSearchRounds:
         vertices, positions = self._land(
             _np.concatenate(found_v), _np.concatenate(found_p), _np.concatenate(found_d)
         )
-        seeded_indexes = len(_np.unique(positions - self.offsets[vertices]))
-        changed = _np.zeros(len(self.entries), dtype=bool)
-        self.relax(vertices, positions, changed)
-        return seeded_indexes, int(_np.count_nonzero(changed))
+        seeded_indexes = _distinct(positions - self.offsets[vertices])
+        rewritten = 0
+        for new in self.relax(vertices, positions, changed):
+            changed[new] = False
+            rewritten += len(new)
+        return seeded_indexes, rewritten
 
     # -- construction ------------------------------------------------------ #
 
@@ -713,19 +832,32 @@ class LabelSearchRounds:
         self.entries[roots] = 0.0
         self.relax(_np.arange(len(roots), dtype=_np.int64), roots)
 
-    def relax(self, vertices: Any, positions: Any, changed: Any = None) -> None:
+    def relax(self, vertices: Any, positions: Any, changed: Any = None) -> list[Any]:
         """Relax outward from a frontier until no entry improves.
 
         Per round: gather the candidates of the frontier's arcs, keep those
         that improve their target entry, write the minimum per target; the
-        improved targets are the next frontier.  ``changed``, a boolean mask
-        over entry positions, collects every entry written.
+        improved targets are the next frontier.  A frontier narrower than
+        :data:`_DRAIN_WIDTH` goes to :meth:`_drain_relax` instead.
+
+        ``changed``, an all-``False`` boolean mask over entry positions,
+        collects every entry written, the first frontier's included.  The
+        return value lists the positions as they were first set -- each
+        written entry exactly once -- so the caller can count the entries
+        and clear the mask again.
         """
+        self.enqueued += len(positions)
+        fresh: list[Any] = []
+        flags = None if changed is None else memoryview(changed)
         while len(positions):
             self.rounds += 1
-            self.enqueued += len(positions)
             if changed is not None:
-                changed[positions] = True
+                new = positions[~changed[positions]]
+                changed[new] = True
+                fresh.append(new)
+            if len(positions) < _DRAIN_WIDTH:
+                vertices, positions = self._drain_relax(vertices, positions, flags, fresh)
+                continue
             found_v: list[Any] = []
             found_p: list[Any] = []
             for part in self._chunks(len(positions)):
@@ -741,3 +873,60 @@ class LabelSearchRounds:
                 # Two chunks may both have improved one entry.
                 positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
                 vertices = _np.concatenate(found_v)[first]
+            self.enqueued += len(positions)
+        return fresh
+
+    def _drain_relax(
+        self, vertices: Any, positions: Any, flags: Any, fresh: list[Any]
+    ) -> tuple[Any, Any]:
+        """Relax from a narrow frontier on a heap, in Python (Dijkstra order).
+
+        Writes each improvement at once, as the rounds do, and records it in
+        ``flags`` (a view of :meth:`relax`'s ``changed`` mask, or ``None``)
+        and ``fresh``.  Returns the entries still waiting on the heap --
+        none once it is empty, or every live one as the next round's
+        frontier once the heap outgrows :data:`_DRAIN_WIDTH`.
+        """
+        view, offsets, tau = self.view, self.flat_offsets, self.flat_tau
+        heap = [(view[p], p, v) for v, p in zip(vertices.tolist(), positions.tolist())]
+        heapify(heap)
+        pushes = 0
+        new: list[int] = []
+        while heap and len(heap) <= _DRAIN_WIDTH:
+            d, p, v = heappop(heap)
+            if d > view[p]:
+                continue  # superseded by a later, smaller write
+            i = p - offsets[v]
+            for u, w in self._arcs(v):
+                if tau[u] > i:
+                    q = offsets[u] + i
+                    candidate = d + w
+                    if candidate < view[q]:
+                        view[q] = candidate
+                        heappush(heap, (candidate, q, u))
+                        pushes += 1
+                        if flags is not None and not flags[q]:
+                            flags[q] = True
+                            new.append(q)
+        self.enqueued += pushes
+        if new:
+            fresh.append(_np.array(new, dtype=_np.int64))
+        return _frontier([(v, p) for d, p, v in heap if d == view[p]])
+
+
+def _distinct(values: Any) -> int:
+    """The number of distinct values in an int array.
+
+    Sorts instead of calling ``np.unique``, whose hash-based path costs
+    about a microsecond per item on large arrays.
+    """
+    if not len(values):
+        return 0
+    ordered = _np.sort(values)
+    return 1 + int(_np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _frontier(pairs: list[tuple[int, int]]) -> tuple[Any, Any]:
+    """``(vertex, position)`` pairs as a frontier's two int64 arrays."""
+    frontier = _np.array(pairs, dtype=_np.int64).reshape(-1, 2)
+    return frontier[:, 0], frontier[:, 1]

@@ -128,7 +128,7 @@ def deserialize_labelling(payload: dict, graph: Graph) -> StableTreeLabelling:
         graph,
         hierarchy,
         labels,
-        payload.get("maintenance", "pareto"),
+        payload.get("maintenance", "label_search"),
         construction_seconds=float(payload.get("construction_seconds", 0.0)),
     )
 
@@ -174,7 +174,7 @@ def serialize_snapshot(snapshot: "LabelSnapshot") -> dict:
     }
     if snapshot.labels is not None:
         payload["labelling"] = _labelling_payload(
-            snapshot.hierarchy, snapshot.labels, "pareto", 0.0
+            snapshot.hierarchy, snapshot.labels, "label_search", 0.0
         )
     return payload
 

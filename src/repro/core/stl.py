@@ -11,9 +11,12 @@ a downstream user needs:
 >>> stl.increase_edge(0, 1, new_weight=graph.weight(0, 1) * 2)
 >>> stl.decrease_edge(0, 1, new_weight=graph.weight(0, 1) / 2)
 
-Maintenance strategy defaults to Pareto Search (the paper's fastest variant);
-``maintenance="label_search"`` selects the ancestor-centric Algorithms 1-2
-instead, which is how the STL-L rows of Table 3 are produced.
+Maintenance defaults to Label Search, the ancestor-centric Algorithms 1-2:
+every single update runs as a one-update batch of the batched Label Search
+engine, so single updates and batches share one path.
+``maintenance="pareto"`` selects the per-update Pareto Search classes
+(Algorithms 3-5) instead, which is how the STL-P rows of Table 3 are
+produced.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from repro.core.batch import BatchedParetoEngine, BatchPolicy
 from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.config import DEFAULT_CONFIG, STLConfig
 from repro.core.shard import ShardBackend, ShardedBatchEngine, ShardPlanner
-from repro.core.label_search import (
-    LabelSearchDecrease,
-    LabelSearchIncrease,
-    MaintenanceStats,
-)
+from repro.core.label_search import MaintenanceStats
 from repro.core.construction import build_index
 from repro.core.labelling import STLLabels, build_labels
 from repro.core.pareto_search import ParetoSearchDecrease, ParetoSearchIncrease
@@ -62,7 +61,7 @@ class StableTreeLabelling:
         graph: Graph,
         hierarchy: StableTreeHierarchy,
         labels: STLLabels,
-        maintenance: MaintenanceMode = "pareto",
+        maintenance: MaintenanceMode = "label_search",
         construction_seconds: float = 0.0,
         batch_policy: BatchPolicy | None = None,
         config: STLConfig | None = None,
@@ -89,7 +88,7 @@ class StableTreeLabelling:
         cls,
         graph: Graph,
         options: HierarchyOptions | None = None,
-        maintenance: MaintenanceMode = "pareto",
+        maintenance: MaintenanceMode = "label_search",
         *,
         construction: str | None = None,
         max_workers: int | None = None,
@@ -132,14 +131,10 @@ class StableTreeLabelling:
         if maintenance not in ("pareto", "label_search"):
             raise ConfigError(f"unknown maintenance mode {maintenance!r}")
         self._maintenance_mode: MaintenanceMode = maintenance
-        self._decrease: ParetoSearchDecrease | LabelSearchDecrease
-        self._increase: ParetoSearchIncrease | LabelSearchIncrease
-        if maintenance == "pareto":
-            self._decrease = ParetoSearchDecrease(self.graph, self.hierarchy, self.labels)
-            self._increase = ParetoSearchIncrease(self.graph, self.hierarchy, self.labels)
-        else:
-            self._decrease = LabelSearchDecrease(self.graph, self.hierarchy, self.labels)
-            self._increase = LabelSearchIncrease(self.graph, self.hierarchy, self.labels)
+        # Label Search serves single updates through its batch engine; only
+        # Pareto Search keeps per-update classes.
+        self._decrease = ParetoSearchDecrease(self.graph, self.hierarchy, self.labels)
+        self._increase = ParetoSearchIncrease(self.graph, self.hierarchy, self.labels)
         self._batch_engine = BatchedParetoEngine(self.graph, self.hierarchy, self.labels)
         self._ls_batch_engine = BatchedLabelSearchEngine(self.graph, self.hierarchy, self.labels)
         # The shard planner's regions are topology-only, so switching
@@ -288,7 +283,15 @@ class StableTreeLabelling:
     # ------------------------------------------------------------------ #
 
     def apply_update(self, update: EdgeUpdate) -> MaintenanceStats:
-        """Apply one edge-weight update (dispatches on increase/decrease)."""
+        """Apply one edge-weight update.
+
+        Under Label Search (the default) the update is a one-update batch of
+        the batched Label Search engine: the vector rounds with numpy, the
+        scalar heaps without.  Under Pareto Search it dispatches on the
+        update's kind to the per-update Pareto classes (STL-P).
+        """
+        if self._maintenance_mode == "label_search":
+            return self._ls_batch_engine.apply([update])
         if update.kind is UpdateKind.INCREASE:
             return self._increase.apply(update)
         if update.kind is UpdateKind.DECREASE:
@@ -310,9 +313,8 @@ class StableTreeLabelling:
           that cancels out is a NEUTRAL no-op.
         * **Net-kind processing** -- net increases run before net decreases
           (disjoint edges, so the order only fixes which pass pays for which
-          entry).  The :class:`BatchPolicy` crossover picks the processing
-          strategy -- the per-update loop for tiny batches, the serial
-          batched Label Search engine for everything larger.
+          entry).  Every batch below the rebuild crossover, down to a single
+          net update, runs on the serial batched Label Search engine.
         * **Rebuild crossover** -- when the net batch exceeds
           ``policy.rebuild_fraction`` of the graph's edges (and
           ``policy.rebuild_min_updates``), maintaining is slower than
@@ -349,9 +351,6 @@ class StableTreeLabelling:
         batch size.
         """
         cfg = config if config is not None else self.config
-        chosen = cfg.engine
-        if chosen is None and self._maintenance_mode == "label_search":
-            chosen = "label_search"
         batch = updates if isinstance(updates, UpdateBatch) else UpdateBatch(updates)
         total = len(batch)
         if total == 0:
@@ -361,7 +360,7 @@ class StableTreeLabelling:
         # NEUTRAL nets (cancelled chains) do no maintenance work, so they must
         # not push an otherwise-small batch over the rebuild crossover.
         effective = sum(1 for u in net if u.kind is not UpdateKind.NEUTRAL)
-        used_engine = chosen or "label_search"
+        used_engine = cfg.engine or "label_search"
         if cfg.backend in ("thread", "process"):
             stats = self._shard_backend(cfg.backend).apply(
                 net.updates, max_workers=policy.max_workers, engine=used_engine
@@ -370,16 +369,6 @@ class StableTreeLabelling:
         elif policy.should_rebuild(effective, self.graph.num_edges):
             stats = self._rebuild_in_place(net)
             used_engine = "rebuild"
-        elif policy.should_loop(effective) and (
-            chosen is None or chosen == self._maintenance_mode
-        ):
-            # Tiny batch: the batch machinery would cost more than it
-            # shares; run the plain per-update loop (which dispatches to the
-            # maintenance mode's own per-kind algorithms).
-            stats = MaintenanceStats()
-            for update in net:
-                stats.merge(self.apply_update(update))
-            used_engine = self._maintenance_mode
         elif used_engine == "label_search":
             stats = self._ls_batch_engine.apply(net.updates)
         else:

@@ -76,13 +76,16 @@ class StructuralUpdater:
                 )
             return self.stl.apply_update(EdgeUpdate(u, v, old, weight))
 
-        comparable = hierarchy.precedes(u, v) or hierarchy.precedes(v, u)
-        graph.add_edge(u, v, weight)
-        if comparable:
+        if hierarchy.precedes(u, v) or hierarchy.precedes(v, u):
             # The new edge joins comparable vertices, so Lemma 5.3 and with it
-            # the 2-hop cover property keep holding; propagating a weight
-            # decrease from infinity patches every affected label.
+            # the 2-hop cover property keep holding; the edge enters closed
+            # (weight inf), and propagating a weight decrease from infinity
+            # patches every affected label.
+            graph.add_edge(u, v, weight)
+            graph.set_weight(u, v, math.inf)
             return self.stl.apply_update(EdgeUpdate(u, v, math.inf, weight))
+
+        graph.add_edge(u, v, weight)
 
         # Incomparable endpoints: the new edge crosses two sibling subtrees,
         # so common ancestors no longer hit every shortest path.  Rebuild the

@@ -2,14 +2,14 @@
 
 A stream of updates (each edge's weight is doubled, then restored) is
 processed in groups of growing size; the cumulative maintenance time of STL
-(Pareto Search) is compared against the time to rebuild the labelling from
-scratch.  The paper's observation -- maintenance stays below reconstruction
-even for the largest group -- is the headline argument for incremental
-maintenance.
+is compared against the time to rebuild the labelling from scratch.  The
+paper's observation -- maintenance stays below reconstruction even for the
+largest group -- is the headline argument for incremental maintenance.
 
 Four maintenance flavours are measured per group:
 
-* the historical **per-update loop** (``apply_update`` per stream entry),
+* the **per-update loop** (``apply_update`` per stream entry, the index's
+  default Label Search: one-update batches of the batched engine),
   whose label entries rewritten are reported beside the entries a
   reconstruction writes -- the counter behind the timing comparison,
 * the **batched path** (``apply_batch`` on the increase half, then on the

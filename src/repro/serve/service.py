@@ -121,6 +121,7 @@ class QueryService:
         self._fallback_queries = 0
         self._batches_committed = 0
         self._updates_committed = 0
+        self._failed_commits = 0
         #: Wall-clock of the background build (the fallback-tier window) and
         #: its phase breakdown -- a parallel construction config shortens the
         #: window, measurably so through these counters.
@@ -475,14 +476,37 @@ class QueryService:
     def _apply_labelled(self, raw: list[RawUpdate]) -> LabelSnapshot:
         stl = self._writer
         assert stl is not None
-        if self._writer_shared:
-            # Copy-on-write: the store is shared with the published
-            # generation; shadow it before mutating so in-flight readers
-            # keep an untouched buffer.
-            stl.adopt_labels(stl.labels.snapshot_store())
-            self._writer_shared = False
-        stl.apply_batch(self._resolve(raw, stl.graph))
+        try:
+            if self._writer_shared:
+                # Copy-on-write: the store is shared with the published
+                # generation; shadow it before mutating so in-flight readers
+                # keep an untouched buffer.
+                stl.adopt_labels(stl.labels.snapshot_store())
+                self._writer_shared = False
+            stl.apply_batch(self._resolve(raw, stl.graph))
+        except Exception:
+            self._restore_writer(stl)
+            raise
         return stl.snapshot(self._version + 1, copy=False)
+
+    def _restore_writer(self, stl: StableTreeLabelling) -> None:
+        """Put the writer back on the published generation after a failed commit.
+
+        A batch that raises may leave landed weights and a half-repaired
+        store behind, which the next commit would publish.  The published
+        generation holds neither: its snapshot froze a copy of the graph,
+        and copy-on-write left its store untouched.  So the writer takes
+        back that graph's weights and adopts a copy of that store.
+        """
+        published = self._active
+        assert published is not None and published.labels is not None
+        graph = stl.graph
+        for u, v, w in published.graph.edges():
+            if graph.weight(u, v) != w:
+                graph.set_weight(u, v, w)
+        stl.adopt_labels(published.labels.snapshot_store())
+        self._writer_shared = False
+        self._failed_commits += 1
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -501,6 +525,7 @@ class QueryService:
             "fallback_queries": self._fallback_queries,
             "batches_committed": self._batches_committed,
             "updates_committed": self._updates_committed,
+            "failed_commits": self._failed_commits,
             "active_readers": 0 if snap is None else snap.readers,
             "build_seconds": self._build_seconds,
             "build_hierarchy_seconds": self._build_hierarchy_seconds,

@@ -75,7 +75,7 @@ class TestSTLConfigValidation:
             STLConfig().backend = "thread"  # type: ignore[misc]
 
     def test_maintenance_follows_engine(self):
-        assert STLConfig().maintenance == "pareto"
+        assert STLConfig().maintenance == "label_search"
         assert STLConfig(engine="pareto").maintenance == "pareto"
         assert STLConfig(engine="label_search").maintenance == "label_search"
 
@@ -129,7 +129,7 @@ class TestOpenNetwork:
     def test_default_config(self, small_grid):
         stl = open_network(small_grid)
         assert stl.config == DEFAULT_CONFIG
-        assert stl.maintenance_mode == "pareto"
+        assert stl.maintenance_mode == "label_search"
 
     def test_config_drives_batches_without_kwargs(self, small_grid):
         stl = open_network(small_grid, config=STLConfig(engine="label_search"))
@@ -180,10 +180,10 @@ class TestRemovedSurface:
         with pytest.raises(TypeError):
             stl.batch_query([(0, 1)], kernel="scalar")
 
-    def test_policy_has_only_its_four_knobs(self):
+    def test_policy_has_only_its_three_knobs(self):
         assert [f.name for f in dataclasses.fields(BatchPolicy)] == [
             "rebuild_min_updates",
             "rebuild_fraction",
-            "batched_min_updates",
             "max_workers",
         ]
+        assert not hasattr(BatchPolicy, "should_loop")

@@ -121,8 +121,10 @@ class TestVectorKernelCases:
         for round_ in range(4):
             apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=round_))
 
-    def test_deep_chain(self):
-        """A path graph: one entry per frontier, a round per hop."""
+    def test_deep_chain(self, monkeypatch):
+        """A path graph with the scalar drain off: one entry per frontier, a
+        round per hop."""
+        monkeypatch.setattr(kernels, "_DRAIN_WIDTH", 0)
         n = 600
         graph = Graph.from_edges(n, [(i, i + 1, 1.0 + (i % 7) / 8) for i in range(n - 1)])
         scalar, vector = paired_indexes(graph, leaf_size=4)

@@ -9,9 +9,16 @@ classes and the batch engines started sharing their search code:
 
 * per-update Pareto Search increases and decreases (a closure to ``inf``
   and its re-opening included),
-* per-update Label Search increases and decreases,
+* per-update Label Search increases and decreases, through the scalar
+  ``LabelSearchIncrease`` / ``LabelSearchDecrease`` classes,
 * one ``BatchedParetoEngine`` batch,
 * one batched Label Search batch on the scalar heaps (numpy switched off).
+
+The same Label Search steps through the default ``apply_update`` -- a
+one-update batch of the batched Label Search engine, on the vector rounds
+when numpy is installed -- must write the same bytes; their counters are
+pinned separately (:data:`ONE_UPDATE_BATCHES`), because a frontier counts
+its entries differently from a heap.
 """
 
 from __future__ import annotations
@@ -19,11 +26,13 @@ from __future__ import annotations
 import hashlib
 import math
 
+from repro.core import kernels
 from repro.core.batch import BatchPolicy
 from repro.core.config import STLConfig
+from repro.core.label_search import LabelSearchDecrease, LabelSearchIncrease
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import grid_road_network
-from repro.graph.updates import EdgeUpdate, UpdateBatch
+from repro.graph.updates import EdgeUpdate, UpdateBatch, UpdateKind
 from repro.hierarchy.builder import HierarchyOptions
 from tests.conftest import apply_batch_without_numpy
 
@@ -63,6 +72,23 @@ EXPECTED = [
 ]
 
 
+#: The ``label_search.*`` steps through the default ``apply_update`` on the
+#: vector rounds: ``(step, counters in COUNTERS order)``.  Their label bytes
+#: are the scalar rows' above.
+ONE_UPDATE_BATCHES = [
+    ("label_search.increase.11", (1, 21, 71, 71, 157)),
+    ("label_search.decrease.11", (1, 22, 73, 0, 79)),
+    ("label_search.increase.88", (1, 23, 93, 93, 207)),
+    ("label_search.decrease.88", (1, 23, 93, 0, 94)),
+    ("label_search.increase.176", (1, 28, 71, 71, 164)),
+    ("label_search.decrease.176", (1, 28, 71, 0, 73)),
+    ("label_search.increase.230", (1, 10, 10, 10, 20)),
+    ("label_search.decrease.230", (1, 23, 33, 0, 33)),
+    ("label_search.close.11", (1, 22, 74, 74, 157)),
+    ("label_search.reopen.11", (1, 18, 58, 0, 62)),
+]
+
+
 def _edges(stl: StableTreeLabelling) -> list[tuple[int, int, float]]:
     return sorted(stl.graph.edges())
 
@@ -91,22 +117,35 @@ def _batch(stl: StableTreeLabelling, picks: list[int]) -> UpdateBatch:
     return batch
 
 
-def run_sequence(stl: StableTreeLabelling, scalar_label_search_batch):
+def scalar_label_search_update(stl: StableTreeLabelling, update: EdgeUpdate):
+    """One update through the scalar Label Search class of its kind."""
+    search = LabelSearchIncrease if update.kind is UpdateKind.INCREASE else LabelSearchDecrease
+    return search(stl.graph, stl.hierarchy, stl.labels).apply(update)
+
+
+def default_update(stl: StableTreeLabelling, update: EdgeUpdate):
+    """One update through the index's default path."""
+    return stl.apply_update(update)
+
+
+def run_sequence(stl: StableTreeLabelling, scalar_label_search_batch, label_search_update):
     """Yield ``(step, stats or None, labels sha256)`` for the fixed sequence.
 
     ``scalar_label_search_batch(stl, batch)`` applies one batch through the
-    batched Label Search engine on its scalar heaps.
+    batched Label Search engine on its scalar heaps;
+    ``label_search_update(stl, update)`` applies one Label Search update.
     """
 
     def digest() -> str:
         return hashlib.sha256(stl.labels.view.tobytes()).hexdigest()[:16]
 
     yield "build", None, digest()
-    for family, picks in (("pareto", [3, 57, 140, 201]), ("label_search", [11, 88, 176, 230])):
-        stl.set_maintenance(family)
-        for step, update in _per_update_steps(stl, family, picks):
-            yield step, stl.apply_update(update), digest()
     stl.set_maintenance("pareto")
+    for step, update in _per_update_steps(stl, "pareto", [3, 57, 140, 201]):
+        yield step, stl.apply_update(update), digest()
+    stl.set_maintenance("label_search")
+    for step, update in _per_update_steps(stl, "label_search", [11, 88, 176, 230]):
+        yield step, label_search_update(stl, update), digest()
     pareto = STLConfig(engine="pareto", policy=BatchPolicy(rebuild_fraction=None))
     stats = stl.apply_batch(_batch(stl, [5, 40, 77, 120, 163, 199, 244]), config=pareto)
     yield "batch.pareto", stats, digest()
@@ -119,26 +158,42 @@ def build_index() -> StableTreeLabelling:
     return StableTreeLabelling.build(graph, HierarchyOptions(leaf_size=4))
 
 
-def observed(scalar_label_search_batch) -> list[tuple]:
+def observed(scalar_label_search_batch, label_search_update) -> list[tuple]:
     """The sequence's record, in :data:`EXPECTED`'s shape."""
     stl = build_index()
     record = []
-    for step, stats, sha in run_sequence(stl, scalar_label_search_batch):
+    for step, stats, sha in run_sequence(stl, scalar_label_search_batch, label_search_update):
         counters = None if stats is None else tuple(getattr(stats, name) for name in COUNTERS)
         record.append((step, counters, sha))
     stl.close()
     return record
 
 
-def test_counters_and_label_bytes_match_the_recorded_sequence():
+def scalar_batch(stl, batch):
     label_search = STLConfig(engine="label_search", policy=BatchPolicy(rebuild_fraction=None))
+    stats = apply_batch_without_numpy(stl, batch, label_search)
+    assert "vector_kernel" not in stats.extra
+    return stats
 
-    def scalar_batch(stl, batch):
-        stats = apply_batch_without_numpy(stl, batch, label_search)
-        assert "vector_kernel" not in stats.extra
-        return stats
 
-    record = observed(scalar_batch)
+def test_counters_and_label_bytes_match_the_recorded_sequence():
+    record = observed(scalar_batch, scalar_label_search_update)
     assert [step for step, _, _ in record] == [step for step, _, _ in EXPECTED]
     for got, want in zip(record, EXPECTED):
+        assert got == want, f"step {want[0]}: got {got[1:]}, recorded {want[1:]}"
+
+
+def test_default_apply_update_writes_the_scalar_bytes():
+    """The Label Search steps through ``apply_update``: same bytes as the
+    scalar classes, and the one-update batches' own pinned counters (the
+    scalar rows' counters when numpy is absent, where the engine runs those
+    classes)."""
+    expected = list(EXPECTED)
+    if kernels.HAS_NUMPY:
+        rows = {step: i for i, (step, _, _) in enumerate(expected)}
+        for step, counters in ONE_UPDATE_BATCHES:
+            expected[rows[step]] = (step, counters, expected[rows[step]][2])
+    record = observed(scalar_batch, default_update)
+    assert [step for step, _, _ in record] == [step for step, _, _ in expected]
+    for got, want in zip(record, expected):
         assert got == want, f"step {want[0]}: got {got[1:]}, recorded {want[1:]}"

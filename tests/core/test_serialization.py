@@ -121,9 +121,9 @@ def test_nested_list_versions_rejected(stl, version):
 
 def test_snapshot_embeds_the_labelling_payload(stl):
     """A snapshot's labelling section is the checkpoint payload, field for field."""
-    stl.set_maintenance("label_search")
+    stl.set_maintenance("pareto")
     expected = serialize_labelling(stl)
-    expected.update(maintenance="pareto", construction_seconds=0.0)
+    expected.update(maintenance="label_search", construction_seconds=0.0)
     assert serialize_snapshot(stl.snapshot())["labelling"] == expected
 
 

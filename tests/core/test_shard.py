@@ -199,10 +199,16 @@ class TestBackendSurface:
 
 
 class TestPolicyCrossover:
-    def test_should_loop(self):
-        policy = BatchPolicy(batched_min_updates=3)
-        assert policy.should_loop(2)
-        assert not policy.should_loop(3)
+    def test_tiny_batches_run_the_engine(self, small_grid):
+        """No per-update loop: one or two net updates go to the engine too."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        edges = list(stl.graph.edges())
+        for size in (1, 2):
+            batch = [EdgeUpdate(u, v, w, 3.0 * w) for u, v, w in edges[size : 2 * size]]
+            stats = stl.apply_batch(batch)
+            assert stats.extra["label_search_engine"] == 1
+            assert stats.extra["net_updates"] == size
+            assert verify_labels(stl.graph, stl.hierarchy, stl.labels) == []
 
     @pytest.mark.parametrize("backend", [None, "serial"])
     def test_apply_batch_never_shards_unless_named(self, small_grid, backend):

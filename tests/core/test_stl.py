@@ -64,8 +64,8 @@ class TestBuildAndQuery:
 
 
 class TestMaintenanceModes:
-    def test_default_is_pareto(self, stl):
-        assert stl.maintenance_mode == "pareto"
+    def test_default_is_label_search(self, stl):
+        assert stl.maintenance_mode == "label_search"
 
     def test_switch_to_label_search(self, stl):
         stl.set_maintenance("label_search")

@@ -74,7 +74,7 @@ class TestHarness:
         assert policy.rebuild_min_updates == 9
         assert policy.rebuild_fraction is None
         assert policy.max_workers == 2
-        assert policy.batched_min_updates == BatchPolicy().batched_min_updates
+        assert policy == BatchPolicy(rebuild_min_updates=9, rebuild_fraction=None, max_workers=2)
 
     def test_measurement_helpers(self):
         graph = build_dataset("NY", scale=0.2, seed=1)

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.algorithms.dijkstra import dijkstra_with_target
+from repro.core import kernels
 from repro.core.config import STLConfig
 from repro.core.snapshot import FALLBACK_PATH, FAST_PATH
 from repro.graph.generators import grid_road_network
@@ -378,6 +379,65 @@ class TestWarmRestart:
 
         run(first_life())
         run(second_life())
+
+
+class TestFailedCommits:
+    @pytest.mark.skipif(not kernels.HAS_NUMPY, reason="injects into the vector rounds")
+    def test_a_failed_commit_leaves_no_trace(self, monkeypatch):
+        """A commit that raises half-way must not leak into the next one.
+
+        The error strikes the second relax of a 12-edge commit: the increases
+        are repaired, the decreases' weights have landed, their repair has
+        not run.  The submitter sees the error and the version stays put;
+        the next, healthy commit must then publish labels for *its* graph
+        -- every sampled answer equal to Dijkstra on that version's state.
+        """
+        relax = kernels.LabelSearchRounds.relax
+        armed = {"calls": None}
+
+        def failing_relax(self, *args, **kwargs):
+            if armed["calls"] is not None:
+                armed["calls"] += 1
+                if armed["calls"] == 2:
+                    raise RuntimeError("injected relax failure")
+            return relax(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.LabelSearchRounds, "relax", failing_relax)
+
+        async def scenario():
+            graph = grid_road_network(12, 12, seed=9)
+            oracle = _Oracle(graph)
+            rng = random.Random(13)
+            picked = rng.sample(list(graph.edges()), 16)
+            failing = [
+                (u, v, w * 3.0 if k % 2 else w / 3.0) for k, (u, v, w) in enumerate(picked[:12])
+            ]
+            healthy = [(u, v, w * 2.0) for u, v, w in picked[12:]]
+            async with QueryService(graph) as service:
+                await service.wait_ready()
+                before = service.version
+                armed["calls"] = 0
+                with pytest.raises(RuntimeError, match="injected"):
+                    await service.submit(failing)
+                assert armed["calls"] == 2
+                armed["calls"] = None
+                assert service.version == before
+                assert service.stats()["failed_commits"] == 1
+                await oracle.submit(service, healthy)
+                wrong = 0
+                n = graph.num_vertices
+                for _ in range(300):
+                    s, t = rng.randrange(n), rng.randrange(n)
+                    d, tier, version = await service.distance(s, t)
+                    assert tier == FAST_PATH
+                    expected = dijkstra_with_target(oracle.state_for(version), s, t)
+                    wrong += not (
+                        d == expected if math.isinf(expected) else abs(d - expected) < 1e-9
+                    )
+                return wrong, service.stats()["failed_commits"]
+
+        wrong, failed = run(scenario())
+        assert (wrong, failed) == (0, 1)
 
 
 class TestLifecycle:
