@@ -76,6 +76,7 @@ from repro.core.labelling import (
     ENTRY_BYTES,
     STLLabels,
     build_labels_with_counts,
+    copy_entries,
     label_offsets,
 )
 from repro.core.parallel import _attach_segment, _pick_start_method
@@ -595,9 +596,7 @@ class ParallelBuilder:
             for worker in workers:
                 worker.recv(self.reply_timeout)
 
-            entries = array("d")
-            entries.frombytes(view.tobytes())
-            return STLLabels.from_flat(entries, offsets)
+            return STLLabels.from_flat(copy_entries(view), offsets)
         finally:
             # Unlink unconditionally: the entries were copied out above on
             # success, and on any failure the segment must not leak.  Workers

@@ -28,6 +28,12 @@ zero-copy ``memoryview`` over that range -- reads and writes through a row go
 straight to the flat buffer, slicing any row is O(1) pointer arithmetic, and
 the whole store is numpy-compatible via the buffer protocol
 (``numpy.frombuffer(labels.view)`` gives a float64 array over the entries).
+The row views are built on the first row access, not when a buffer is
+adopted: the kernels and the serving layer read the flat buffer, so a store
+that only they touch -- every copy a serve commit makes -- never pays for
+``n`` views.  Copying a store (:meth:`STLLabels.snapshot_store`,
+:meth:`~STLLabels.copy`, :meth:`~STLLabels.unshare`) is one ``memcpy`` into
+the new buffer, with no intermediate ``bytes``.
 """
 
 from __future__ import annotations
@@ -74,7 +80,10 @@ class STLLabels:
     still works as the legacy accessor.  Internally all entries share one
     flat buffer indexed by a per-vertex offsets array -- see the module
     docstring for the layout, and :meth:`share_into` / :meth:`unshare` for
-    moving the buffer into and out of shared memory.
+    moving the buffer into and out of shared memory.  The row views are
+    built on the first row access (``labels[v]``, :meth:`label_of`,
+    :attr:`labels`, :meth:`set_row`, :meth:`entry`, :meth:`iter_entries`,
+    :meth:`differences`) and live until the buffer is replaced.
     """
 
     __slots__ = (
@@ -122,7 +131,7 @@ class STLLabels:
         return self
 
     def _adopt(self, entries: Any, offsets: Any) -> None:
-        """Point the store at ``entries``/``offsets`` and rebuild row views.
+        """Point the store at ``entries``/``offsets`` and drop the row views.
 
         Adopting a buffer invalidates the cached numpy views (see
         :func:`repro.core.kernels.label_arrays`) and bumps
@@ -138,7 +147,8 @@ class STLLabels:
         if view.format != "d":
             raise LabellingError(f"entries buffer must hold C doubles, got format {view.format!r}")
         self._view = view
-        self._rows = [view[offsets[v] : offsets[v + 1]] for v in range(len(offsets) - 1)]
+        # Built by ``_row_list`` on the first row access.
+        self._rows: list[LabelRow] | None = None
         self._np_cache: Any = None
         self._epoch = getattr(self, "_epoch", -1) + 1
         self._pins: int = getattr(self, "_pins", 0)
@@ -149,10 +159,20 @@ class STLLabels:
         # The numpy cache holds a buffer export over ``_view``; drop it
         # first or ``_view.release()`` raises BufferError.
         self._np_cache = None
-        for row in self._rows:
-            row.release()
+        if self._rows is not None:
+            for row in self._rows:
+                row.release()
+        # An empty list, not ``None``: a released store has no rows to build.
         self._rows = []
         self._view.release()
+
+    def _row_list(self) -> list[LabelRow]:
+        """The per-vertex row views, built on the first call."""
+        rows = self._rows
+        if rows is None:
+            view, offsets = self._view, self._offsets
+            rows = self._rows = [view[offsets[v] : offsets[v + 1]] for v in range(len(offsets) - 1)]
+        return rows
 
     # ------------------------------------------------------------------ #
     # Row access (the surface every kernel and caller uses)
@@ -161,28 +181,34 @@ class STLLabels:
     @property
     def labels(self) -> list[LabelRow]:
         """Per-vertex row views (legacy accessor: ``labels.labels[v][i]``)."""
-        return self._rows
+        return self._row_list()
 
     def __getitem__(self, vertex: int) -> LabelRow:
-        return self._rows[vertex]
+        # The Pareto searches index rows in their inner loops: keep the hit
+        # path to one attribute read and one ``None`` test.
+        rows = self._rows
+        if rows is None:
+            rows = self._row_list()
+        return rows[vertex]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._rows
+        return len(self._offsets) - 1 if rows is None else len(rows)
 
     def label_of(self, vertex: int) -> LabelRow:
         """The distance array of ``vertex`` (alias of ``self[vertex]``)."""
-        return self._rows[vertex]
+        return self[vertex]
 
     def entry(self, vertex: int, label_index: int) -> float:
         """``L(v)[i]`` with bounds checking (used by tests and tools)."""
-        label = self._rows[vertex]
+        label = self[vertex]
         if not 0 <= label_index < len(label):
             raise LabellingError(f"vertex {vertex} has no label entry for index {label_index}")
         return label[label_index]
 
     def set_row(self, vertex: int, values: Sequence[float]) -> None:
         """Overwrite row ``vertex`` in place; length must match exactly."""
-        row = self._rows[vertex]
+        row = self[vertex]
         if len(values) != len(row):
             raise LabellingError(
                 f"row {vertex} holds {len(row)} entries, cannot assign {len(values)}"
@@ -236,33 +262,41 @@ class STLLabels:
 
     def iter_entries(self) -> Iterator[tuple[int, int, float]]:
         """Iterate ``(vertex, label_index, distance)`` over every entry."""
-        for v, label in enumerate(self._rows):
+        for v, label in enumerate(self._row_list()):
             for i, d in enumerate(label):
                 yield v, i, d
 
     def copy(self) -> "STLLabels":
         """Deep copy (used by tests that compare maintained vs rebuilt labels)."""
-        entries = array("d")
-        entries.frombytes(self._view.tobytes())
-        return STLLabels.from_flat(entries, array("q", self._offsets))
+        return STLLabels.from_flat(copy_entries(self._view), array("q", self._offsets))
 
     def snapshot_store(self) -> "STLLabels":
         """An independent copy of the entries sharing this store's offsets.
 
         The serving layer's shadow-copy step: one ``memcpy`` of the flat
-        entries buffer, with the offsets array *shared* between the two
-        stores -- offsets are fixed by the hierarchy and treated as
-        immutable everywhere, so the snapshot saves ``n + 1`` positions of
-        allocation and the shape comparison in :meth:`load_from` stays an
-        O(1) identity hit.  True copy-on-*write* (sharing entries until the
-        first mutation) is not possible here: engines write through raw
-        ``memoryview`` rows with no hook to intercept, so the copy happens
-        eagerly at the swap boundary instead (see
-        :class:`repro.core.snapshot.LabelSnapshot`).
+        entries buffer into the new store's ``array('d')``, with the offsets
+        array *shared* between the two stores -- offsets are fixed by the
+        hierarchy and treated as immutable everywhere, so the snapshot
+        saves ``n + 1`` positions of allocation, skips :meth:`from_flat`'s
+        O(n) offsets check (this store passed it), and the shape comparison
+        in :meth:`load_from` stays an O(1) identity hit.  The copy allocates
+        exactly one store and builds no row views.  True copy-on-*write*
+        (sharing entries until the first mutation) is not possible here:
+        engines write through raw ``memoryview`` rows with no hook to
+        intercept, so the copy happens eagerly at the swap boundary instead
+        (see :class:`repro.core.snapshot.LabelSnapshot`).
+
+        >>> labels = STLLabels([[0.0], [1.5, 0.0]])
+        >>> snap = labels.snapshot_store()
+        >>> bytes(snap.view) == bytes(labels.view), snap.offsets is labels.offsets
+        (True, True)
+        >>> snap[1][0] = 9.0
+        >>> labels[1][0], snap[1][0]
+        (1.5, 9.0)
         """
-        entries = array("d")
-        entries.frombytes(self._view.tobytes())
-        return STLLabels.from_flat(entries, self._offsets)
+        snap = object.__new__(STLLabels)
+        snap._adopt(copy_entries(self._view), self._offsets)
+        return snap
 
     # ------------------------------------------------------------------ #
     # Reader pinning (epoch-based reclamation support)
@@ -352,8 +386,7 @@ class STLLabels:
         """
         if not self.is_shared:
             return
-        entries = array("d")
-        entries.frombytes(self._view.tobytes())
+        entries = copy_entries(self._view)
         self._release_views()
         self._adopt(entries, self._offsets)
 
@@ -402,8 +435,8 @@ class STLLabels:
         length changed -- the diffs most worth reporting.
         """
         diffs = []
-        mine_rows = self._rows
-        their_rows = other._rows
+        mine_rows = self._row_list()
+        their_rows = other._row_list()
         for v in range(max(len(mine_rows), len(their_rows))):
             mine = mine_rows[v] if v < len(mine_rows) else ()
             theirs = their_rows[v] if v < len(their_rows) else ()
@@ -419,6 +452,21 @@ class STLLabels:
                 if different:
                     diffs.append((v, i, a, b))
         return diffs
+
+
+def copy_entries(view: memoryview) -> array:
+    """A private ``array('d')`` holding the entries of the ``'d'`` view ``view``.
+
+    One ``memcpy`` straight into the new array's buffer: ``frombytes`` reads
+    a byte cast of ``view`` instead of a ``tobytes()`` temporary, so the
+    copy allocates one store, not two.  The cast is released before this
+    returns, so callers may release ``view`` (and close the mapping under
+    it) right after.
+    """
+    entries = array("d")
+    with view.cast("B") as raw:
+        entries.frombytes(raw)
+    return entries
 
 
 def build_labels(graph: Graph, hierarchy: StableTreeHierarchy) -> STLLabels:

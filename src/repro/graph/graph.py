@@ -28,10 +28,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from repro.utils.errors import EdgeNotFoundError, GraphError
-from repro.utils.validation import check_non_negative_weight, check_vertex
-
-#: Weight used to represent a logically deleted edge (Section 8).
-INFINITE_WEIGHT = math.inf
+from repro.utils.validation import check_edge_weight, check_non_negative_weight, check_vertex
 
 
 class Graph:
@@ -183,10 +180,7 @@ class Graph:
         pos = self._edge_index.get(key)
         if pos is None:
             raise EdgeNotFoundError(f"edge ({u}, {v}) does not exist")
-        if math.isinf(weight) and weight > 0:
-            new_weight = INFINITE_WEIGHT
-        else:
-            new_weight = check_non_negative_weight(weight)
+        new_weight = check_edge_weight(weight)
         old_weight = self._adjacency[key[0]][pos][1]
         self._set_weight_by_key(key, new_weight)
         return old_weight

@@ -10,11 +10,12 @@ the old weight so it can be classified and rolled back, and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.graph.graph import Graph
-from repro.utils.errors import UpdateError
+from repro.utils.errors import InvalidWeightError, UpdateError
 
 
 class UpdateKind(enum.Enum):
@@ -33,6 +34,15 @@ class EdgeUpdate:
     v: int
     old_weight: float
     new_weight: float
+
+    def __post_init__(self) -> None:
+        # A NaN compares neither above nor below anything, so it would
+        # classify as NEUTRAL and be dropped without ever landing.
+        if math.isnan(self.old_weight) or math.isnan(self.new_weight):
+            raise InvalidWeightError(
+                f"edge ({self.u}, {self.v}) update weights must not be NaN, "
+                f"got {self.old_weight!r} -> {self.new_weight!r}"
+            )
 
     @property
     def kind(self) -> UpdateKind:

@@ -55,6 +55,7 @@ from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import ServiceError, SnapshotError
+from repro.utils.validation import check_edge_weight
 
 #: Sentinel draining the maintenance loop on :meth:`QueryService.stop`.
 _STOP = object()
@@ -358,10 +359,16 @@ class QueryService:
         race on weight reads.  Updates from multiple pending submissions
         may be *coalesced* into one commit; each submitter still learns
         the version its updates landed in.
+
+        Each new weight is checked here, before queueing (non-negative or
+        ``+inf``, never NaN; :class:`InvalidWeightError` otherwise), so one
+        bad submission cannot fail the others coalesced into its commit.
         """
         if not self.started:
             raise ServiceError("service is not running")
         items = list(updates)
+        for item in items:
+            check_edge_weight(item.new_weight if isinstance(item, EdgeUpdate) else item[2])
         loop = asyncio.get_running_loop()
         future: asyncio.Future[int] = loop.create_future()
         assert self._queue is not None

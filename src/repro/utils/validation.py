@@ -21,6 +21,18 @@ def check_non_negative_weight(weight: float) -> float:
     return value
 
 
+def check_edge_weight(weight: float) -> float:
+    """Validate a weight to *set* on an existing edge and return it as ``float``.
+
+    As :func:`check_non_negative_weight`, except that ``+inf`` is allowed: it
+    models a closed (logically deleted) edge.  NaN is always rejected.
+    """
+    value = float(weight)
+    if math.isinf(value) and value > 0:
+        return value
+    return check_non_negative_weight(value)
+
+
 def check_vertex(vertex: int, num_vertices: int) -> int:
     """Validate that ``vertex`` is an integer id inside ``[0, num_vertices)``."""
     if isinstance(vertex, bool) or not isinstance(vertex, int):

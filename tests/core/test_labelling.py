@@ -1,7 +1,9 @@
 """Unit tests for STL label construction (Definition 4.6, Lemma 4.7)."""
 
 import math
+import tracemalloc
 from array import array
+from multiprocessing import shared_memory
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,13 +13,19 @@ from repro.algorithms.dijkstra import dijkstra_rank_restricted
 from repro.core import kernels
 from repro.core.construction import build_index, run_label_roots
 from repro.core.labelling import (
+    ENTRY_BYTES,
     UNREACHABLE,
+    STLLabels,
     build_labels,
     build_labels_with_counts,
     label_offsets,
     verify_labels,
 )
-from repro.graph.generators import highway_grid_network, random_connected_graph
+from repro.graph.generators import (
+    grid_road_network,
+    highway_grid_network,
+    random_connected_graph,
+)
 from repro.graph.graph import Graph
 from repro.hierarchy.builder import HierarchyOptions, build_hierarchy
 from repro.utils.errors import LabellingError
@@ -291,6 +299,138 @@ class TestDifferencesShapeMismatches:
         diffs = labels.differences(longer)
         assert any(v == 4 and i == len(rows[4]) - 1 for v, i, _, _ in diffs)
         assert not labels.equals(longer)
+
+
+# --------------------------------------------------------------------------- #
+# Whole-store copies and row views built on demand
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def grid_store():
+    """A 40x40 grid's store: large enough that the copy dominates the trace."""
+    graph = grid_road_network(40, 40, seed=3)
+    return build_labels(graph, build_hierarchy(graph))
+
+
+def _traced_peak(make):
+    """``(make(), peak traced bytes)`` for one call."""
+    tracemalloc.start()
+    try:
+        result = make()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _shared_target(labels):
+    nbytes = labels.num_entries() * ENTRY_BYTES
+    shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+    return shm, shm.buf[:nbytes].cast("d")
+
+
+class TestStoreCopies:
+    """A whole-store copy allocates exactly one new entries buffer."""
+
+    @pytest.mark.parametrize("method", ["snapshot_store", "copy"])
+    def test_copy_allocates_one_store(self, grid_store, method):
+        copied, peak = _traced_peak(getattr(grid_store, method))
+        assert peak <= 1.2 * grid_store.num_entries() * ENTRY_BYTES
+        assert bytes(copied.view) == bytes(grid_store.view)
+
+    def test_unshare_allocates_one_store(self, grid_store):
+        labels = grid_store.snapshot_store()
+        expected = bytes(labels.view)
+        shm, target = _shared_target(labels)
+        try:
+            labels.share_into(target)
+            del target
+            _, peak = _traced_peak(labels.unshare)
+        finally:
+            shm.close()
+            shm.unlink()
+        assert peak <= 1.2 * labels.num_entries() * ENTRY_BYTES
+        assert bytes(labels.view) == expected
+
+    @pytest.mark.parametrize("method", ["snapshot_store", "copy"])
+    def test_copies_are_independent(self, grid_store, method):
+        original = grid_store.snapshot_store()
+        copied = getattr(original, method)()
+        assert bytes(copied.view) == bytes(original.view)
+        # Labels are never negative, so each write below changes its entry.
+        untouched = bytes(original.view)
+        copied.view[0] = -1.0
+        copied[7][1] = -2.0
+        assert bytes(original.view) == untouched
+        untouched = bytes(copied.view)
+        original.view[1] = -3.0
+        original[3][0] = -4.0
+        assert bytes(copied.view) == untouched
+
+    def test_snapshot_shares_offsets(self, grid_store):
+        assert grid_store.snapshot_store().offsets is grid_store.offsets
+        assert grid_store.copy().offsets is not grid_store.offsets
+
+
+class TestRowsOnDemand:
+    """Row views are built on the first row access, then behave as always."""
+
+    def test_len_before_any_row_exists(self, grid_store):
+        n = len(grid_store.offsets) - 1
+        flat = STLLabels.from_flat(array("d", grid_store.view), grid_store.offsets)
+        snap = grid_store.snapshot_store()
+        for store in (flat, snap):
+            assert store._rows is None
+            assert len(store) == n
+            assert store._rows is None
+        assert len(STLLabels.from_flat(array("d"), array("q", [0]))) == 0
+
+    def test_rows_are_identity_stable_and_write_through(self, grid_store):
+        labels = grid_store.snapshot_store()
+        row = labels[5]
+        assert labels[5] is row is labels.label_of(5) is labels.labels[5]
+        assert len(labels) == len(labels.offsets) - 1
+        base = labels.offsets[5]
+        row[0] = 42.5
+        assert labels.view[base] == 42.5
+        labels.view[base + 1] = 17.25
+        assert row[1] == 17.25 and labels.entry(5, 1) == 17.25
+
+    @pytest.mark.parametrize("rows_built", [False, True])
+    def test_share_then_unshare(self, grid_store, rows_built):
+        labels = grid_store.snapshot_store()
+        expected = bytes(labels.view)
+        if rows_built:
+            labels[0]
+        shm, target = _shared_target(labels)
+        try:
+            labels.share_into(target)
+            del target
+            assert labels._rows is None
+            if rows_built:
+                labels[2]
+            labels.unshare()
+        finally:
+            shm.close()  # raises BufferError if any view over the segment survived
+            shm.unlink()
+        assert not labels.is_shared
+        assert bytes(labels.view) == expected
+        assert list(labels[2]) == list(grid_store[2])
+
+    @pytest.mark.parametrize("rows_built", [False, True])
+    def test_release_views(self, grid_store, rows_built):
+        labels = grid_store.snapshot_store()
+        shm, target = _shared_target(labels)
+        try:
+            labels.share_into(target)
+            del target
+            if rows_built:
+                labels[1]
+            labels.release_views()
+            assert len(labels) == 0
+        finally:
+            shm.close()
+            shm.unlink()
 
 
 # --------------------------------------------------------------------------- #

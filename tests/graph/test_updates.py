@@ -1,10 +1,12 @@
 """Unit tests for the edge-update model."""
 
+import math
+
 import pytest
 
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch, UpdateKind
-from repro.utils.errors import UpdateError
+from repro.utils.errors import InvalidWeightError, UpdateError
 
 
 @pytest.fixture
@@ -17,6 +19,16 @@ class TestEdgeUpdate:
         assert EdgeUpdate(0, 1, 2.0, 5.0).kind is UpdateKind.INCREASE
         assert EdgeUpdate(0, 1, 5.0, 2.0).kind is UpdateKind.DECREASE
         assert EdgeUpdate(0, 1, 2.0, 2.0).kind is UpdateKind.NEUTRAL
+
+    def test_nan_weights_rejected(self, graph):
+        # A NaN would classify as NEUTRAL and be dropped without landing.
+        with pytest.raises(InvalidWeightError):
+            EdgeUpdate(0, 1, 2.0, math.nan)
+        with pytest.raises(InvalidWeightError):
+            EdgeUpdate(0, 1, math.nan, 2.0)
+        with pytest.raises(InvalidWeightError):
+            EdgeUpdate.setting(graph, 0, 1, math.nan)
+        assert graph.weight(0, 1) == 2.0
 
     def test_delta(self):
         assert EdgeUpdate(0, 1, 2.0, 5.0).delta == 3.0

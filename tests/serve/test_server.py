@@ -104,7 +104,13 @@ class TestProtocol:
                 missing_field = await _rpc(reader, writer, {"op": "query", "s": 1})
                 assert not missing_field["ok"]
 
-                # The connection survived three failures.
+                u, v, _ = next(iter(graph.edges()))
+                nan_weight = await _rpc(
+                    reader, writer, {"op": "update", "updates": [[u, v, "nan"]]}
+                )
+                assert not nan_weight["ok"] and nan_weight["code"] == "InvalidWeightError"
+
+                # The connection survived four failures.
                 assert (await _rpc(reader, writer, {"op": "ping"}))["ok"]
                 writer.close()
                 await writer.wait_closed()

@@ -29,7 +29,7 @@ from repro.core.snapshot import FALLBACK_PATH, FAST_PATH
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
 from repro.serve.service import QueryService
-from repro.utils.errors import ServiceError
+from repro.utils.errors import InvalidWeightError, ServiceError
 
 from tests.conftest import assert_distances_match
 
@@ -438,6 +438,68 @@ class TestFailedCommits:
 
         wrong, failed = run(scenario())
         assert (wrong, failed) == (0, 1)
+
+
+class TestInvalidWeights:
+    @pytest.mark.parametrize("weight", [math.nan, -1.0, -math.inf])
+    def test_bad_weight_is_refused_before_queueing(self, weight):
+        """A bad triple fails only its own submission: the version stays
+        put, no commit fails, and a co-submitted commit still lands."""
+
+        async def scenario():
+            graph = grid_road_network(6, 6, seed=4)
+            (u, v, w), (a, b, x) = list(graph.edges())[:2]
+            async with QueryService(graph) as service:
+                await service.wait_ready()
+                before = service.version
+                with pytest.raises(InvalidWeightError):
+                    await service.submit([(u, v, weight)])
+                assert service.version == before
+                bad, good = await asyncio.gather(
+                    service.submit([(a, b, x * 2.0), (u, v, weight)]),
+                    service.submit([(a, b, x * 3.0)]),
+                    return_exceptions=True,
+                )
+                assert isinstance(bad, InvalidWeightError)
+                assert good == service.version == before + 1
+                assert service.stats()["failed_commits"] == 0
+                assert service.graph.weight(u, v) == w
+                assert service.graph.weight(a, b) == x * 3.0
+
+        run(scenario())
+
+    def test_closing_an_edge_is_accepted(self):
+        async def scenario():
+            graph = grid_road_network(6, 6, seed=4)
+            u, v, _ = next(iter(graph.edges()))
+            async with QueryService(graph) as service:
+                await service.wait_ready()
+                await service.submit([(u, v, math.inf)])
+                assert math.isinf(service.graph.weight(u, v))
+
+        run(scenario())
+
+
+class TestLabelRowsStayUnbuilt:
+    @pytest.mark.skipif(not kernels.HAS_NUMPY, reason="the scalar repair reads rows")
+    def test_commits_never_build_row_views(self):
+        """Commits copy, repair and publish through the flat buffer; none of
+        that may build the ``n`` per-vertex row views of a store."""
+
+        async def scenario():
+            graph = grid_road_network(10, 10, seed=6)
+            rng = random.Random(6)
+            async with QueryService(graph) as service:
+                await service.wait_ready()
+                for _ in range(10):
+                    u, v, w = rng.choice(list(service.graph.edges()))
+                    await service.submit([(u, v, w * rng.choice((0.5, 2.0)))])
+                    await service.distance(0, graph.num_vertices - 1)
+                assert service.stats()["batches_committed"] == 10
+                assert service._writer.labels._rows is None
+                assert service.active_snapshot.labels._rows is None
+
+        run(scenario())
 
 
 class TestLifecycle:
