@@ -493,6 +493,30 @@ _FRONTIER_CHUNK_ENTRIES = 4096
 #: The scalar Label Search classes take 0.33 s on the path.
 _DRAIN_WIDTH = 16
 
+#: Width of the near window of a nearest-first relax, in mean finite arc
+#: weights (see :meth:`LabelSearchRounds.relax`).  Narrower windows enqueue
+#: fewer entries but run more rounds; wider ones drift back to FIFO order.
+#: Measured on the 10k highway grid (2-CPU x86 container, Python 3.11,
+#: numpy 2.4; times divided by ``bench/hostspeed.py``'s host-speed factor,
+#: two runs each): the M and L rush-hour cycles of ``update-rush`` (per
+#: batch the median of 4 passes), and 300 edges doubled and restored one
+#: update at a time:
+#:
+#: ===========  ===================  ==============================
+#: width        M + L cycles         single updates: total / p99
+#: ===========  ===================  ==============================
+#: 1            0.96 / 0.94 s        1.06 / 0.93 s, 25 / 26 ms
+#: 2            0.89 / 0.90 s        0.89 / 0.99 s, 25 / 23 ms
+#: 4            0.82 / 0.86 s        0.94 / 0.95 s, 25 / 25 ms
+#: 8            0.79 / 0.80 s        0.97 / 0.93 s, 27 / 23 ms
+#: 16           0.93 / 0.93 s        0.89 / 0.91 s, 23 / 24 ms
+#: 1e12 (FIFO)  0.97 / 0.96 s        0.98 / 0.90 s, 35 / 36 ms
+#: ===========  ===================  ==============================
+#:
+#: The same cycles took 1.30-1.40 s with the FIFO rounds that landed
+#: candidates with an argsort and ``minimum.reduceat``.
+_NEAR_WIDTH = 8.0
+
 
 def empty_mask(size: int) -> Any:
     """An all-``False`` boolean mask over ``size`` entry positions."""
@@ -511,6 +535,69 @@ def _runs(first: Any, lengths: Any) -> tuple[Any, Any]:
     return flat, begins
 
 
+def _one_per_position(vertices: Any, positions: Any, num_vertices: int) -> tuple[Any, Any]:
+    """The distinct ``(vertex, position)`` pairs, sorted by position.
+
+    A position lies in exactly one vertex's row, so ``position * n +
+    vertex`` is one int64 key per position: one sort of the keys dedupes
+    the pairs and keeps each vertex with its position.  (The keys fit while
+    ``num_entries * n < 2**63``: a 24M-vertex network with 1,000-entry
+    labels needs 6e17 of the 9.2e18.)
+    """
+    keys = positions * num_vertices
+    keys += vertices
+    keys.sort()
+    if len(keys) > 1:
+        head = _np.empty(len(keys), dtype=bool)
+        head[0] = True
+        _np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        keys = _np.compress(head, keys)
+    positions = keys // num_vertices
+    return keys - positions * num_vertices, positions
+
+
+def _land(entries: Any, num_vertices: int, vertices: Any, positions: Any, candidates: Any) -> Any:
+    """Write the minimum candidate per position; returns the distinct targets.
+
+    Every candidate must already improve on its entry.  Returns one
+    ``(vertices, positions)`` pair of arrays with one item per position
+    written, sorted by position:
+
+    >>> import numpy as np
+    >>> entries = np.full(4, np.inf)
+    >>> vertices, positions = _land(
+    ...     entries, 2, np.array([1, 0, 1, 1]), np.array([3, 0, 3, 3]),
+    ...     np.array([5.0, 2.0, 4.0, 6.0]))
+    >>> entries.tolist()
+    [2.0, inf, inf, 4.0]
+    >>> vertices.tolist(), positions.tolist()
+    ([0, 1], [0, 3])
+    """
+    _np.minimum.at(entries, positions, candidates)
+    return _one_per_position(vertices, positions, num_vertices)
+
+
+def arc_tables(labels: "STLLabels", neighbors: Any, tau: Any) -> tuple[Any, Any]:
+    """The ``tau`` and row offset of every arc's target, as int64 ndarrays.
+
+    ``neighbors`` is the graph's CSR neighbour array and ``tau`` the
+    hierarchy's int64 ``tau``.  Cached on the store, like
+    :func:`label_arrays`, and keyed on both objects by identity (holding
+    them keeps their ids from being reused): a graph writes weights in
+    place and rebuilds its CSR arrays only for a new edge, so every batch
+    on a store -- a one-update batch included -- reuses the tables, and a
+    store snapshot computes them once.
+    """
+    cached = labels._arc_cache
+    if cached is not None and cached[0] is neighbors and cached[1] is tau:
+        return cached[2], cached[3]
+    targets = _np.frombuffer(neighbors, dtype=_np.int64)
+    arc_tau = tau[targets]
+    arc_offsets = label_arrays(labels)[1][targets]
+    labels._arc_cache = (neighbors, tau, arc_tau, arc_offsets)
+    return arc_tau, arc_offsets
+
+
 class LabelSearchRounds:
     """Algorithms 1-2 for a whole coalesced batch, one frontier at a time.
 
@@ -523,7 +610,11 @@ class LabelSearchRounds:
     :data:`_FRONTIER_CHUNK_ENTRIES`.  An arc ``v -> u`` carries index ``i``
     only while ``tau(u) > i`` -- ``u`` is then a proper descendant of the
     ancestor and ``offsets[u] + i`` exists -- exactly the restriction of the
-    scalar kernels in :mod:`repro.core.label_search`.
+    scalar kernels in :mod:`repro.core.label_search`.  The ``tau`` and row
+    offset of every arc's target are tables cached across passes
+    (:func:`arc_tables`).  A round lands each chunk's improving candidates
+    with ``np.minimum.at`` and dedupes its frontier with one int64 sort
+    (:func:`_land`, :func:`_one_per_position`).
 
     A frontier narrower than :data:`_DRAIN_WIDTH` entries is not worth a
     round: its numpy calls cost more than the arcs they relax.  It goes to a
@@ -531,18 +622,34 @@ class LabelSearchRounds:
     relax, a stack for the mark search -- which reads the store's
     ``'d'`` view, its offsets, the graph's CSR arrays and ``tau`` as plain
     Python values, and hands what it holds back to the rounds once that
-    grows past the width again.
+    grows past the width again.  A maintenance relax that starts from at
+    least one chunk of entries runs nearest-first instead (:meth:`relax`).
 
-    The scalar kernels settle entries in distance order on a heap; the
-    rounds here are label-correcting instead, and reach the same labels bit
-    for bit: both compute, per entry, the minimum over walks of the
-    left-to-right float64 sum along the walk, and float addition of a
-    non-negative weight is monotone, so that minimum is the unique fixed
-    point of ``L(v)[i] = min(L(v)[i], min_u fl(L(u)[i] + w(u, v)))``
-    whatever order the relaxations run in -- rounds, the drain's heap, or
-    any interleaving of the two.  The mark search's result is a closure
-    (every entry reachable from the seeds under a fixed predicate on the
-    old labels and weights), so it does not depend on the order either.
+    **Order independence.**  The scalar kernels settle entries in distance
+    order on a heap; the rounds are label-correcting, in FIFO or
+    nearest-first order, and all of them write the build's bytes.  Write
+    ``F`` for the operator that maps a store to ``F(L)(v, i) = 0`` at the
+    root of index ``i`` (``tau(v) == i``) and to ``min_u fl(L(u)[i] + w(u,
+    v))`` over the arcs carrying ``i`` elsewhere.  Adding a non-negative
+    weight is monotone in floating point, so ``F`` is monotone, and the
+    build -- the descent from all ``inf`` -- is its *greatest* fixed point
+    ``G``.  A relax that starts at or above ``G``, writes only
+    ``fl(L(u)[i] + w) < L(v)[i]``, and expands every entry after its last
+    write stops at ``G`` whatever the order: each write is an entry of
+    ``F(L) >= F(G) = G``, and when nothing improves, induction along the
+    path that realises ``G(v)`` gives ``L(v) <= G(v)``.  A decrease starts
+    from the old labels, which are at or above the new ``G``; an increase
+    first resets every marked entry to a bound from unmarked neighbours,
+    and the unmarked ones already equal the new ``G``.  With non-negative
+    weights every write lowers an entry to one of finitely many simple-path
+    sums, so the relax terminates.  ``G`` is the *only* fixed point when
+    ``fl(d + w) > d`` for every finite entry ``d`` and arc weight ``w``.
+    Zero-weight cycles (or weights too small to change a sum, such as
+    ``0.01`` beside ``1e15``) break that: such a cycle is a fixed point at
+    any common value below ``G``.  The relax still stops at ``G``, because it
+    never starts or writes below it.  The mark search's result is a closure
+    (every entry reachable from the seeds under a fixed predicate on the old
+    labels and weights), so it does not depend on the order either.
 
     ``rounds`` counts the frontiers processed (a drain counts as one) and
     ``enqueued`` the entries placed on a frontier or on a drain's heap.
@@ -550,6 +657,7 @@ class LabelSearchRounds:
 
     def __init__(self, graph: "Graph", labels: "STLLabels", hierarchy: "StableTreeHierarchy"):
         self.entries, self.offsets = label_arrays(labels)
+        self.num_vertices = len(self.offsets) - 1
         arrays = hierarchy_arrays(hierarchy)
         self.tau = (
             arrays["tau"] if arrays is not None else _np.asarray(hierarchy.tau, dtype=_np.int64)
@@ -562,6 +670,7 @@ class LabelSearchRounds:
         self.degree = _np.diff(self.indptr)
         self.neighbors = _np.frombuffer(neighbors, dtype=_np.int64)
         self.weights = _np.frombuffer(weights, dtype=_np.float64)
+        self.arc_tau, self.arc_offsets = arc_tables(labels, neighbors, self.tau)
         # The scalar drains read the same memory through Python containers.
         self.view: Any = labels.view
         self.flat_offsets = labels.offsets
@@ -594,35 +703,35 @@ class LabelSearchRounds:
     def _candidates(self, vertices: Any, positions: Any) -> tuple[Any, Any, Any]:
         """Relax every arc leaving a chunk of frontier entries.
 
-        Returns, per arc that carries its entry's label index, the target
-        vertex, the target entry's position and the candidate distance
-        ``L(v)[i] + w(v, u)``.
+        Returns, per arc that carries its entry's label index, the arc (its
+        target is ``neighbors[arc]``), the target entry's position and the
+        candidate distance ``L(v)[i] + w(v, u)``.
         """
         index = positions - self.offsets[vertices]
         degree = self.degree[vertices]
         arcs, _ = _runs(self.indptr[vertices], degree)
-        targets = self.neighbors[arcs]
         index = _np.repeat(index, degree)
-        carries = self.tau[targets] > index
+        carries = self.arc_tau[arcs] > index
         arcs = arcs[carries]
-        targets = targets[carries]
         candidates = _np.repeat(self.entries[positions], degree)[carries] + self.weights[arcs]
-        return targets, self.offsets[targets] + index[carries], candidates
+        return arcs, self.arc_offsets[arcs] + index[carries], candidates
 
-    def _land(self, vertices: Any, positions: Any, candidates: Any) -> tuple[Any, Any]:
-        """Write the minimum candidate per position; returns the distinct targets.
-
-        Every candidate must already improve on its entry.
-        """
-        order = _np.argsort(positions)
-        positions = positions[order]
-        head = _np.ones(len(positions), dtype=bool)
-        head[1:] = positions[1:] != positions[:-1]
-        starts = _np.flatnonzero(head)
-        landed = positions[starts]
-        if len(starts):
-            self.entries[landed] = _np.minimum.reduceat(candidates[order], starts)
-        return vertices[order[starts]], landed
+    def _round(self, vertices: Any, positions: Any) -> tuple[Any, Any]:
+        """One relax round: the entries it improved, one per position."""
+        found_v: list[Any] = []
+        found_p: list[Any] = []
+        for part in self._chunks(len(positions)):
+            arcs, reached, candidates = self._candidates(vertices[part], positions[part])
+            # Index arrays: a sparse boolean mask indexes ~4x slower.
+            better = _np.flatnonzero(candidates < self.entries[reached])
+            reached = reached[better]
+            _np.minimum.at(self.entries, reached, candidates[better])
+            found_v.append(self.neighbors[arcs[better]])
+            found_p.append(reached)
+        # Two chunks may both have improved one entry.
+        return _one_per_position(
+            _np.concatenate(found_v), _np.concatenate(found_p), self.num_vertices
+        )
 
     @staticmethod
     def _chunks(size: int) -> list[slice]:
@@ -667,8 +776,9 @@ class LabelSearchRounds:
             push_b, push_a = _through_edge(self.entries[pa], self.entries[pb], w)
             found_v += [vb[push_b], va[push_a]]
             found_p += [pb[push_b], pa[push_a]]
-        positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
-        vertices = _np.concatenate(found_v)[first]
+        vertices, positions = _one_per_position(
+            _np.concatenate(found_v), _np.concatenate(found_p), self.num_vertices
+        )
         marked[positions] = True
         seeded_indexes = _distinct(positions - self.offsets[vertices])
         self.enqueued += len(positions)
@@ -687,22 +797,24 @@ class LabelSearchRounds:
             else:
                 found_v, found_p = [], []
                 for part in self._chunks(len(positions)):
-                    targets, reached, candidates = self._candidates(vertices[part], positions[part])
+                    arcs, reached, candidates = self._candidates(vertices[part], positions[part])
                     current = self.entries[reached]
                     with _np.errstate(invalid="ignore"):
-                        hit = (
+                        hit = _np.flatnonzero(
                             ~marked[reached]
                             & _np.isfinite(current)
                             & _realises(candidates, current)
                         )
-                    reached, first = _np.unique(reached[hit], return_index=True)
+                    reached = reached[hit]
                     # Marking per chunk keeps later chunks (and rounds) from
                     # finding the same entry again.
                     marked[reached] = True
-                    found_v.append(targets[hit][first])
+                    found_v.append(self.neighbors[arcs[hit]])
                     found_p.append(reached)
-                new_v = vertices = _np.concatenate(found_v)
-                new_p = positions = _np.concatenate(found_p)
+                # One chunk may have found an entry over two arcs.
+                new_v, new_p = vertices, positions = _one_per_position(
+                    _np.concatenate(found_v), _np.concatenate(found_p), self.num_vertices
+                )
             self.enqueued += len(new_p)
             count += len(new_p)
             if marks is not None:
@@ -768,10 +880,9 @@ class LabelSearchRounds:
             degree = self.degree[owners]
             # A marked vertex was reached over an edge, so no run is empty.
             arcs, begins = _runs(self.indptr[owners], degree)
-            sources = self.neighbors[arcs]
             index = _np.repeat(chunk - self.offsets[owners], degree)
-            usable = self.tau[sources] >= index
-            read = _np.where(usable, self.offsets[sources] + index, 0)
+            usable = self.arc_tau[arcs] >= index
+            read = _np.where(usable, self.arc_offsets[arcs] + index, 0)
             usable &= ~marked[read]
             bounds = _np.where(usable, self.entries[read] + self.weights[arcs], math.inf)
             self.entries[chunk] = _np.minimum.reduceat(bounds, begins)
@@ -806,8 +917,12 @@ class LabelSearchRounds:
             found_v += [vb[push_b], va[push_a]]
             found_p += [pb[push_b], pa[push_a]]
             found_d += [via_a[push_b], via_b[push_a]]
-        vertices, positions = self._land(
-            _np.concatenate(found_v), _np.concatenate(found_p), _np.concatenate(found_d)
+        vertices, positions = _land(
+            self.entries,
+            self.num_vertices,
+            _np.concatenate(found_v),
+            _np.concatenate(found_p),
+            _np.concatenate(found_d),
         )
         seeded_indexes = _distinct(positions - self.offsets[vertices])
         rewritten = 0
@@ -823,22 +938,35 @@ class LabelSearchRounds:
 
         Each vertex ``r`` roots the search for its own label index: its
         entry ``offsets[r] + tau[r]`` -- the last of its row -- becomes
-        ``0.0``, and one :meth:`relax` runs from all ``n`` roots at once.
-        The arc restriction ``tau(u) > i`` keeps root ``r``'s search inside
+        ``0.0``, and one FIFO relax runs from all ``n`` roots at once.  The
+        arc restriction ``tau(u) > i`` keeps root ``r``'s search inside
         ``G[Desc(r)]``, so the fixed point is byte-identical to one
-        rank-restricted Dijkstra per root.
+        rank-restricted Dijkstra per root.  It stays FIFO although it starts
+        from ``n`` entries: each entry is re-relaxed only about 1.09 times on
+        a highway grid, so the order has little to save.
         """
         roots = self.offsets[1:] - 1
         self.entries[roots] = 0.0
-        self.relax(_np.arange(len(roots), dtype=_np.int64), roots)
+        self._relax_fifo(_np.arange(len(roots), dtype=_np.int64), roots, None)
+
+    # -- the relax ---------------------------------------------------------- #
 
     def relax(self, vertices: Any, positions: Any, changed: Any = None) -> list[Any]:
         """Relax outward from a frontier until no entry improves.
 
         Per round: gather the candidates of the frontier's arcs, keep those
         that improve their target entry, write the minimum per target; the
-        improved targets are the next frontier.  A frontier narrower than
-        :data:`_DRAIN_WIDTH` goes to :meth:`_drain_relax` instead.
+        improved targets are the next frontier.
+
+        The order depends on how many entries the relax starts from.  Below
+        one chunk (:data:`_FRONTIER_CHUNK_ENTRIES`) the rounds run FIFO --
+        each round's improved targets are the next frontier, and a frontier
+        narrower than :data:`_DRAIN_WIDTH` goes to :meth:`_drain_relax`.
+        From one chunk on -- a multi-seed decrease, an increase's repair --
+        a FIFO relax re-relaxes many entries (the 601-update decrease of the
+        benchmark's class L enqueued 2.9 entries per entry it changed), so
+        it runs nearest-first (:meth:`_relax_nearest_first`).  Both orders
+        reach the same bytes (see the class docstring).
 
         ``changed``, an all-``False`` boolean mask over entry positions,
         collects every entry written, the first frontier's included.  The
@@ -846,35 +974,83 @@ class LabelSearchRounds:
         written entry exactly once -- so the caller can count the entries
         and clear the mask again.
         """
+        if len(positions) >= _FRONTIER_CHUNK_ENTRIES:
+            return self._relax_nearest_first(vertices, positions, changed)
+        return self._relax_fifo(vertices, positions, changed)
+
+    def _begin_round(self, positions: Any, changed: Any, fresh: list[Any]) -> None:
+        """Count a frontier about to be processed, and record its new writes."""
+        self.rounds += 1
+        if changed is not None:
+            new = positions[~changed[positions]]
+            changed[new] = True
+            fresh.append(new)
+
+    def _relax_fifo(self, vertices: Any, positions: Any, changed: Any) -> list[Any]:
+        """:meth:`relax` in FIFO rounds, narrow frontiers on the drain."""
         self.enqueued += len(positions)
         fresh: list[Any] = []
         flags = None if changed is None else memoryview(changed)
         while len(positions):
-            self.rounds += 1
-            if changed is not None:
-                new = positions[~changed[positions]]
-                changed[new] = True
-                fresh.append(new)
+            self._begin_round(positions, changed, fresh)
             if len(positions) < _DRAIN_WIDTH:
                 vertices, positions = self._drain_relax(vertices, positions, flags, fresh)
                 continue
-            found_v: list[Any] = []
-            found_p: list[Any] = []
-            for part in self._chunks(len(positions)):
-                targets, reached, candidates = self._candidates(vertices[part], positions[part])
-                better = candidates < self.entries[reached]
-                improved_v, improved_p = self._land(
-                    targets[better], reached[better], candidates[better]
-                )
-                found_v.append(improved_v)
-                found_p.append(improved_p)
-            vertices, positions = found_v[0], found_p[0]
-            if len(found_p) > 1:
-                # Two chunks may both have improved one entry.
-                positions, first = _np.unique(_np.concatenate(found_p), return_index=True)
-                vertices = _np.concatenate(found_v)[first]
+            vertices, positions = self._round(vertices, positions)
             self.enqueued += len(positions)
         return fresh
+
+    def _relax_nearest_first(self, vertices: Any, positions: Any, changed: Any) -> list[Any]:
+        """:meth:`relax` one distance window at a time (Delta-stepping).
+
+        The near window is ``[m, m + _NEAR_WIDTH * mean finite arc
+        weight]`` above the smallest pending distance ``m``; it always holds
+        ``m``, also at width 0.  Its entries run in FIFO rounds, and an
+        entry a round improves beyond the window goes on the far pile with
+        its distance.  When the window runs dry, pile entries whose entry
+        has since been improved further are dropped as stale (the improving
+        write put a fresher copy on the pile or on a frontier), and the
+        window advances to the smallest distance left.
+        """
+        finite = self.weights[_np.isfinite(self.weights)]
+        width = _NEAR_WIDTH * float(finite.mean()) if len(finite) else 0.0
+        fresh: list[Any] = []
+        pile = [(vertices, positions, self.entries[positions])]
+        while pile:
+            vertices, positions, limit, pile = self._advance(pile, width)
+            while len(positions):
+                self._begin_round(positions, changed, fresh)
+                self.enqueued += len(positions)
+                vertices, positions = self._round(vertices, positions)
+                distances = self.entries[positions]
+                near = distances <= limit
+                if not near.all():
+                    far = _np.flatnonzero(~near)
+                    pile.append((vertices[far], positions[far], distances[far]))
+                    near = _np.flatnonzero(near)
+                    vertices, positions = vertices[near], positions[near]
+        return fresh
+
+    def _advance(self, pile: list[tuple[Any, Any, Any]], width: float) -> tuple[Any, ...]:
+        """Open the next near window over the far pile.
+
+        Drops the stale pile entries -- those whose entry was improved after
+        they were piled -- and returns ``(vertices, positions, limit,
+        pile)``: the live entries within ``width`` of the smallest live
+        distance, the window's upper end (inclusive, so the window holds the
+        minimum even at width 0), and the rest of the pile.  Both come back
+        empty once nothing on the pile is live.
+        """
+        vertices, positions, distances = (_np.concatenate(part) for part in zip(*pile))
+        live = distances == self.entries[positions]
+        if not live.any():
+            return vertices[:0], positions[:0], math.inf, []
+        limit = float(_np.min(distances, where=live, initial=math.inf)) + width
+        near = distances <= limit
+        far = _np.flatnonzero(live & ~near)
+        near = _np.flatnonzero(live & near)
+        rest = [(vertices[far], positions[far], distances[far])] if len(far) else []
+        return vertices[near], positions[near], limit, rest
 
     def _drain_relax(
         self, vertices: Any, positions: Any, flags: Any, fresh: list[Any]

@@ -92,6 +92,7 @@ class STLLabels:
         "_view",
         "_rows",
         "_np_cache",
+        "_arc_cache",
         "_epoch",
         "_pins",
         "_drained_callbacks",
@@ -150,6 +151,7 @@ class STLLabels:
         # Built by ``_row_list`` on the first row access.
         self._rows: list[LabelRow] | None = None
         self._np_cache: Any = None
+        self._arc_cache: Any = None
         self._epoch = getattr(self, "_epoch", -1) + 1
         self._pins: int = getattr(self, "_pins", 0)
         self._drained_callbacks: list[Any] = getattr(self, "_drained_callbacks", [])

@@ -24,6 +24,18 @@ from repro.hierarchy.tree import StableTreeHierarchy
 UNREACHABLE = math.inf
 
 
+def _check_ids(num_vertices: int, s: int, t: int) -> None:
+    """Raise the batch kernel's ``IndexError`` for an id outside ``[0, n)``.
+
+    Without it Python's negative indexing would silently answer for vertex
+    ``n + s``, and ``s == t`` would answer ``0.0`` for any id at all.
+    """
+    if s < 0 or t < 0:
+        raise IndexError(f"vertex ids must be non-negative, got ({s}, {t})")
+    if s >= num_vertices or t >= num_vertices:
+        raise IndexError(f"vertex id out of range for {num_vertices} vertices: ({s}, {t})")
+
+
 def _prefix_bases(
     hierarchy: StableTreeHierarchy,
     labels: STLLabels,
@@ -38,12 +50,11 @@ def _prefix_bases(
     :func:`query_distance`, :func:`query_with_hub` and the scalar kernel --
     the block used to be copy-pasted into each.
     """
-    if s < 0 or t < 0:
-        # Without this guard Python's negative indexing would silently answer
-        # for vertex n+s; too-large ids already raise from the lookups below.
-        raise IndexError(f"vertex ids must be non-negative, got ({s}, {t})")
-    prefix = hierarchy.num_common_ancestors(s, t)
     offsets = labels.offsets
+    n = len(offsets) - 1
+    if not (0 <= s < n and 0 <= t < n):
+        _check_ids(n, s, t)
+    prefix = hierarchy.num_common_ancestors(s, t)
     return prefix, offsets[s], offsets[t]
 
 
@@ -69,10 +80,13 @@ def query_distance(
     Traceback (most recent call last):
         ...
     IndexError: vertex ids must be non-negative, got (-1, 5)
+    >>> stl.query(99, 99)
+    Traceback (most recent call last):
+        ...
+    IndexError: vertex id out of range for 16 vertices: (99, 99)
     """
     if s == t:
-        if s < 0:
-            raise IndexError(f"vertex ids must be non-negative, got ({s}, {t})")
+        _check_ids(len(labels), s, t)
         return 0.0
     prefix, base_s, base_t = _prefix_bases(hierarchy, labels, s, t)
     if prefix <= 0:
@@ -101,8 +115,7 @@ def query_with_hub(
     which separator level answered a query.
     """
     if s == t:
-        if s < 0:
-            raise IndexError(f"vertex ids must be non-negative, got ({s}, {t})")
+        _check_ids(len(labels), s, t)
         return 0.0, -1
     prefix, base_s, base_t = _prefix_bases(hierarchy, labels, s, t)
     entries = labels.view

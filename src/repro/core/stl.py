@@ -248,12 +248,10 @@ class StableTreeLabelling:
     def query(self, s: int, t: int) -> float:
         """Shortest-path distance between ``s`` and ``t`` (Equation 3).
 
-        Vertex ids are not fully re-validated here: the query is the hot path
-        of the whole library.  Too-large ids fail loudly with an
-        ``IndexError`` from the label lookup; negative ids are caught by a
-        single-comparison guard in :func:`repro.core.query.query_distance`
-        (Python's negative indexing would otherwise silently answer for
-        vertex ``n + s``).
+        An id outside ``[0, n)`` raises the ``IndexError`` that
+        :meth:`batch_query` raises for it (:func:`repro.core.query.query_distance`
+        checks both ids; Python's negative indexing would otherwise silently
+        answer for vertex ``n + s``).
         """
         return query_distance(self.hierarchy, self.labels, s, t)
 

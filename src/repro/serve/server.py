@@ -26,7 +26,9 @@ it after the error response.
 
 An update is a ``(u, v, new_weight)`` triple: the old weight is resolved
 server-side at commit time, so concurrent clients cannot race each other
-(or the maintenance loop) on weight reads.
+(or the maintenance loop) on weight reads.  Vertex ids must be JSON integers
+and weights JSON numbers: ``1.9``, ``true`` or ``"1"`` answer a
+``ServiceError`` instead of being rounded into some other vertex or edge.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class QueryServer:
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
+        # Live connection handlers and their writers, so stop() can end them.
+        self._handlers: dict[Any, asyncio.StreamWriter] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -75,9 +79,17 @@ class QueryServer:
         )
 
     async def stop(self) -> None:
+        """Stop listening, close every open connection and await its handler.
+
+        A client still connected reads EOF; no handler outlives the call.
+        """
         if self._server is None:
             return
         self._server.close()
+        handlers = list(self._handlers.items())
+        for _, writer in handlers:
+            writer.close()
+        await asyncio.gather(*(task for task, _ in handlers), return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
 
@@ -103,6 +115,12 @@ class QueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._server is None or not self._server.is_serving():
+            # Accepted just before stop() closed the server.
+            writer.close()
+            return
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             while True:
                 try:
@@ -131,6 +149,7 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            del self._handlers[task]
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
         writer.write(json.dumps(payload).encode("ascii") + b"\n")
@@ -144,7 +163,7 @@ class QueryServer:
             if op == "ping":
                 return {"ok": True, "op": "ping", "version": self.service.version}
             if op == "query":
-                s, t = int(request["s"]), int(request["t"])
+                s, t = _vertex(request["s"]), _vertex(request["t"])
                 distance, tier, version = await self.service.distance(s, t)
                 return {
                     "ok": True,
@@ -153,7 +172,7 @@ class QueryServer:
                     "version": version,
                 }
             if op == "batch_query":
-                pairs = [(int(s), int(t)) for s, t in request["pairs"]]
+                pairs = [(_vertex(s), _vertex(t)) for s, t in _rows(request, "pairs", 2)]
                 distances, version = await self.service.batch_distance(pairs)
                 return {
                     "ok": True,
@@ -161,9 +180,8 @@ class QueryServer:
                     "version": version,
                 }
             if op == "update":
-                triples = [
-                    (int(u), int(v), float(w)) for u, v, w in request["updates"]
-                ]
+                rows = _rows(request, "updates", 3)
+                triples = [(_vertex(u), _vertex(v), _weight(w)) for u, v, w in rows]
                 version = await self.service.submit(triples)
                 return {"ok": True, "version": version}
             if op == "stats":
@@ -171,6 +189,30 @@ class QueryServer:
             raise ServiceError(f"unknown op {op!r}")
         except Exception as exc:  # noqa: BLE001 - every failure answers in-band
             return _error(exc)
+
+
+def _vertex(value: Any) -> int:
+    """A vertex id off the wire: a JSON integer (``true`` is not one)."""
+    if type(value) is not int:
+        raise ServiceError(f"vertex ids must be JSON integers, got {value!r}")
+    return value
+
+
+def _weight(value: Any) -> float:
+    """A weight off the wire: a JSON number (range checks are the service's)."""
+    if type(value) not in (int, float):
+        raise ServiceError(f"weights must be JSON numbers, got {value!r}")
+    return float(value)
+
+
+def _rows(request: dict, key: str, width: int) -> list:
+    """``request[key]``, checked to be a list of ``width``-element lists."""
+    rows = request[key]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != width for row in rows
+    ):
+        raise ServiceError(f"{key!r} must be a list of {width}-element lists")
+    return rows
 
 
 def _error(exc: Exception) -> dict:

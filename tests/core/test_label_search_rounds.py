@@ -10,7 +10,9 @@ graph's CSR arrays, which must see every weight write whoever made it.
 
 import math
 import pickle
-from itertools import accumulate
+import signal
+from contextlib import contextmanager
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -21,11 +23,12 @@ from repro.core.config import STLConfig
 from repro.core.labelling import build_labels
 from repro.core.stl import StableTreeLabelling
 from repro.core.structural import StructuralUpdater
-from repro.graph.generators import grid_road_network
+from repro.graph.generators import grid_road_network, highway_grid_network
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import ConfigError
+from repro.workloads.updates import rush_hour_stream
 from tests.conftest import apply_batch_without_numpy, paired_indexes, random_mixed_batch
 
 needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
@@ -174,6 +177,25 @@ class TestVectorKernelCases:
         stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=2))
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
 
+    def test_arc_tables_are_reused_until_the_graph_arrays_change(self, small_grid):
+        """One-update batches reuse the per-arc tables cached on the store;
+        a new edge rebuilds the graph's CSR arrays, and the tables follow."""
+        stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
+        u, v, w = next(iter(stl.graph.edges()))
+        stl.apply_update(EdgeUpdate(u, v, w, w * 2))
+        tables = stl.labels._arc_cache
+        stl.apply_update(EdgeUpdate(u, v, w * 2, w))
+        assert stl.labels._arc_cache is tables
+        a, b = next(
+            (a, b)
+            for a, b in combinations(stl.graph.vertices(), 2)
+            if not stl.graph.has_edge(a, b) and stl.hierarchy.precedes(a, b)
+        )
+        StructuralUpdater(stl).insert_edge(a, b, 0.5)
+        stl.apply_batch(random_mixed_batch(stl.graph, 10, seed=3), config=LABEL_SEARCH)
+        assert stl.labels._arc_cache[0] is stl.graph.csr()[1]
+        assert stl.labels.view.tobytes() == build_labels(stl.graph, stl.hierarchy).view.tobytes()
+
     def test_engine_built_over_a_stale_graph_state(self, small_grid):
         """An engine created long after the graph started changing."""
         stl = StableTreeLabelling.build(small_grid.copy(), HierarchyOptions(leaf_size=8))
@@ -184,6 +206,189 @@ class TestVectorKernelCases:
         batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
         assert engine.apply(batch.updates).extra["vector_kernel"] == 1
         assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+
+
+# --------------------------------------------------------------------------- #
+# Nearest-first relax (the gate lowered onto small graphs)
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Lower the nearest-first gate to a few entries and record, for every
+    near window the relaxes open, how many entries it took and how many it
+    left on the far pile."""
+    monkeypatch.setattr(kernels, "_FRONTIER_CHUNK_ENTRIES", 8)
+    opened: list[tuple[int, int]] = []
+    advance = kernels.LabelSearchRounds._advance
+
+    def recording(self, pile, width):
+        window = advance(self, pile, width)
+        opened.append((len(window[1]), sum(len(part[1]) for part in window[3])))
+        return window
+
+    monkeypatch.setattr(kernels.LabelSearchRounds, "_advance", recording)
+    return opened
+
+
+def relax_fifo(self, vertices, positions, changed=None):
+    """``LabelSearchRounds.relax`` pinned to FIFO rounds, the order before
+    nearest-first."""
+    return self._relax_fifo(vertices, positions, changed)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise instead of hanging when a relax never terminates."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the relax did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+
+
+def far_pile_ran(windows) -> bool:
+    """Whether some window left entries on the far pile for a later one."""
+    return any(left for _, left in windows)
+
+
+def assert_build_bytes(stl):
+    assert bytes(stl.labels.view) == bytes(build_labels(stl.graph, stl.hierarchy).view)
+
+
+def rush_hour_cycles(graph):
+    """S/M/L-style cycles: growing congestion zones, each cycle netting to zero."""
+    for hotspots, radius, seed in ((2, 1, 102), (3, 2, 103), (4, 3, 6)):
+        stream = rush_hour_stream(
+            graph, num_steps=8, num_hotspots=hotspots, radius=radius, seed=seed
+        )
+        yield [batch for batch in stream if len(batch)]
+
+
+def to_weights(graph, targets):
+    """One batch moving each ``(u, v)`` edge to its new weight (the last
+    one listed for it)."""
+    last = {(u, v): new for u, v, new in targets}
+    return UpdateBatch([EdgeUpdate(u, v, graph.weight(u, v), new) for (u, v), new in last.items()])
+
+
+def designed_graph() -> Graph:
+    """Zero-weight arcs and a zero-weight cycle, ``1e15`` beside ``1.0``, a
+    closed edge, and a second component whose weights are all zero."""
+    grid = grid_road_network(6, 6, seed=11)
+    zeros = grid_road_network(3, 3, seed=12)
+    n = grid.num_vertices
+    graph = Graph(n + zeros.num_vertices)
+    for k, (u, v, w) in enumerate(grid.edges()):
+        graph.add_edge(u, v, (0.0, 1.0, 1e15, w, 1.0, 2.0, 0.5)[k % 7])
+        if k % 7 == 5:
+            graph.set_weight(u, v, math.inf)  # closed, not absent
+    for u, v in ((0, 1), (1, 7), (7, 6), (6, 0)):  # a zero-weight 4-cycle
+        graph.set_weight(u, v, 0.0)
+    for u, v, _ in zeros.edges():
+        graph.add_edge(n + u, n + v, 0.0)
+    return graph
+
+
+def designed_steps(graph: Graph):
+    """Batches over the designed graph: edges to 0 and back, closures and
+    re-openings, 1e15 and 1.0 trading places, the zero component opening up
+    and closing again, and mixed random weights."""
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    n = graph.num_vertices - 9
+    zero_part = [(u, v) for u, v in edges if u >= n]
+    steps = [
+        [(u, v, 0.0) for u, v in edges[1::5]] + [(u, v, 1e15) for u, v in edges[3::11]],
+        [(u, v, math.inf) for u, v in edges[::4]] + [(u, v, 1.0) for u, v in zero_part[::2]],
+        [(u, v, 1.0) for u, v in edges[2::3]] + [(u, v, math.inf) for u, v in zero_part[1::2]],
+        [(u, v, 0.0) for u, v in edges[::4]] + [(u, v, 0.0) for u, v in zero_part],
+        [(u, v, 1e15 if k % 2 else 1.0) for k, (u, v) in enumerate(edges[::3])],
+    ]
+    for targets in steps:
+        yield to_weights(graph, targets)
+    for seed in range(3):
+        yield random_mixed_batch(graph, 25, seed=seed)
+
+
+@needs_numpy
+class TestNearestFirst:
+    """A relax that starts from at least one chunk of entries runs
+    nearest-first; every order must write the build's bytes (the class
+    docstring's invariant), and the counters keep their meaning."""
+
+    def test_rush_hour_cycles_equal_a_build_after_every_batch(self, windows):
+        graph = highway_grid_network(400, seed=3)
+        stl = StableTreeLabelling.build(graph, HierarchyOptions(leaf_size=8))
+        for cycle in rush_hour_cycles(graph):
+            for batch in cycle:
+                stl.apply_batch(batch, config=LABEL_SEARCH)
+                assert_build_bytes(stl)
+        assert far_pile_ran(windows)
+
+    @needs_alarm
+    @pytest.mark.parametrize("width", [0.0, kernels._NEAR_WIDTH, math.inf])
+    def test_designed_weights_equal_a_build_after_every_batch(self, windows, monkeypatch, width):
+        monkeypatch.setattr(kernels, "_NEAR_WIDTH", width)
+        stl = StableTreeLabelling.build(designed_graph(), HierarchyOptions(leaf_size=4))
+        assert_build_bytes(stl)
+        for batch in designed_steps(stl.graph):
+            with deadline(10):
+                stl.apply_batch(batch, config=LABEL_SEARCH)
+            assert_build_bytes(stl)
+        # An infinite window is FIFO order without the drain.
+        assert far_pile_ran(windows) == (width < math.inf)
+
+    @needs_alarm
+    def test_zero_width_enqueues_each_entry_once(self, windows, monkeypatch, medium_grid):
+        """At width 0 a window holds one distance and positive weights put
+        every improvement beyond it, so each written entry joins exactly one
+        frontier: a stale pile entry back on a frontier shows as
+        ``heap_pushes > labels_changed``, and a window that misses the
+        minimum never finishes."""
+        monkeypatch.setattr(kernels, "_NEAR_WIDTH", 0.0)
+        stl = StableTreeLabelling.build(medium_grid.copy(), HierarchyOptions(leaf_size=8))
+        rising = UpdateBatch(
+            [EdgeUpdate(u, v, w, w * 4.0) for u, v, w in list(stl.graph.edges())[::3]]
+        )
+        stl.apply_batch(rising, config=LABEL_SEARCH)
+        with deadline(10):
+            down = stl.apply_batch(rising.reversed(), config=LABEL_SEARCH)
+        assert_build_bytes(stl)
+        assert down.labels_changed > 100
+        assert down.heap_pushes == down.labels_changed
+        assert far_pile_ran(windows)
+
+    def test_counters_match_fifo_order(self, windows, monkeypatch, medium_grid):
+        """Same bytes and ``labels_changed`` as FIFO rounds; fewer entries
+        enqueued on a multi-seed decrease, in more rounds."""
+        fifo, near = paired_indexes(medium_grid)
+        edges = list(medium_grid.edges())
+        for step in (2, 3, 5):
+            rising = UpdateBatch([EdgeUpdate(u, v, w, w * 3.0) for u, v, w in edges[::step]])
+            batches = (rising, rising.reversed())
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels.LabelSearchRounds, "relax", relax_fifo)
+                expected = [fifo.apply_batch(b, config=LABEL_SEARCH) for b in batches]
+            del windows[:]
+            got = [near.apply_batch(b, config=LABEL_SEARCH) for b in batches]
+            assert far_pile_ran(windows)
+            assert bytes(near.labels.view) == bytes(fifo.labels.view)
+            for stats, reference in zip(got, expected):
+                for key in ("labels_changed", "vertices_affected", "ancestors_touched"):
+                    assert getattr(stats, key) == getattr(reference, key)
+            down, fifo_down = got[1], expected[1]
+            assert down.heap_pushes < fifo_down.heap_pushes
+            assert down.extra["rounds"] > fifo_down.extra["rounds"]
+        assert_build_bytes(near)
 
 
 class TestKernelSelection:

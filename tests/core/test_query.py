@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core import kernels
 from repro.core.labelling import build_labels
 from repro.core.query import batch_query, query_distance, query_with_hub
 from repro.graph.graph import Graph
@@ -69,6 +70,23 @@ def test_negative_vertex_ids_rejected(built):
     # Even the s == t early-out must not accept negative ids.
     with pytest.raises(IndexError):
         query_distance(hierarchy, labels, -3, -3)
+
+
+@pytest.mark.parametrize("pair", [(99, 99), (99, 3), (3, 99), (64, 0)])
+def test_too_large_vertex_ids_rejected(built, pair):
+    """Every query path raises the batch kernel's error for an id >= n:
+    ``s == t`` used to answer ``0.0``, other pairs a bare list IndexError."""
+    graph, hierarchy, labels = built
+    n = graph.num_vertices
+    assert n == 64
+    message = f"vertex id out of range for {n} vertices: \\({pair[0]}, {pair[1]}\\)"
+    with pytest.raises(IndexError, match=message):
+        query_distance(hierarchy, labels, *pair)
+    with pytest.raises(IndexError, match=message):
+        query_with_hub(hierarchy, labels, *pair)
+    for kernel in ("scalar", "vector") if kernels.HAS_NUMPY else ("scalar",):
+        with pytest.raises(IndexError, match=message):
+            batch_query(hierarchy, labels, [pair], kernel=kernel)
 
 
 def test_batch_query(built):

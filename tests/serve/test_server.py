@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+
+import pytest
 
 from repro.graph.generators import grid_road_network
 from repro.graph.graph import Graph
@@ -105,8 +108,9 @@ class TestProtocol:
                 assert not missing_field["ok"]
 
                 u, v, _ = next(iter(graph.edges()))
+                # json.dumps writes the bare NaN token, which parses as a number.
                 nan_weight = await _rpc(
-                    reader, writer, {"op": "update", "updates": [[u, v, "nan"]]}
+                    reader, writer, {"op": "update", "updates": [[u, v, float("nan")]]}
                 )
                 assert not nan_weight["ok"] and nan_weight["code"] == "InvalidWeightError"
 
@@ -173,3 +177,107 @@ class TestProtocol:
                 await service.stop()
 
         run(scenario())
+
+
+class TestWireTypes:
+    """Ids must be JSON integers and weights JSON numbers; nothing is cast."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "query", "s": 1.9, "t": 2},
+            {"op": "query", "s": True, "t": 2},
+            {"op": "query", "s": "1", "t": 2},
+            {"op": "query", "s": 1, "t": None},
+            {"op": "batch_query", "pairs": [[0, 1.0]]},
+            {"op": "batch_query", "pairs": [[0, 1, 2]]},
+            {"op": "batch_query", "pairs": "0,1"},
+            {"op": "update", "updates": [[0.9, 1.2, 5.0]]},
+            {"op": "update", "updates": [[0, 1, "5"]]},
+            {"op": "update", "updates": [[0, 1, True]]},
+            {"op": "update", "updates": [[0, 1]]},
+            {"op": "update", "updates": [[False, 1, 5.0]]},
+        ],
+    )
+    def test_bad_types_answer_service_error(self, request_):
+        async def scenario():
+            graph = grid_road_network(8, 8, seed=5)
+            service, server = await _booted(graph)
+            try:
+                reader, writer = await asyncio.open_connection(*server.address)
+                before = await _rpc(reader, writer, {"op": "query", "s": 0, "t": 1})
+                answer = await _rpc(reader, writer, request_)
+                assert not answer["ok"] and answer["code"] == "ServiceError", answer
+                # Nothing was committed or answered for a rounded id, and
+                # the connection stays open.
+                stats = await _rpc(reader, writer, {"op": "stats"})
+                assert stats["stats"]["batches_committed"] == 0
+                after = await _rpc(reader, writer, {"op": "query", "s": 0, "t": 1})
+                assert after["distance"] == before["distance"]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+                await service.stop()
+
+        run(scenario())
+
+    def test_integer_weights_are_numbers(self):
+        async def scenario():
+            graph = grid_road_network(8, 8, seed=5)
+            service, server = await _booted(graph)
+            try:
+                reader, writer = await asyncio.open_connection(*server.address)
+                u, v, _ = next(iter(graph.edges()))
+                committed = await _rpc(reader, writer, {"op": "update", "updates": [[u, v, 7]]})
+                assert committed["ok"], committed
+                answer = await _rpc(reader, writer, {"op": "query", "s": u, "t": v})
+                assert answer["version"] == committed["version"] and answer["distance"] <= 7.0
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+                await service.stop()
+
+        run(scenario())
+
+
+class TestStop:
+    def test_stop_ends_every_connection(self, caplog):
+        """No handler outlives ``stop()``: a connected client reads EOF, and
+        the loop's teardown has no cancelled handler to log about."""
+
+        async def scenario():
+            graph = grid_road_network(8, 8, seed=5)
+            service, server = await _booted(graph)
+            try:
+                idle = await asyncio.open_connection(*server.address)
+                busy = await asyncio.open_connection(*server.address)
+                for reader, writer in (idle, busy):
+                    assert (await _rpc(reader, writer, {"op": "ping"}))["ok"]
+                # One request still in flight when the server stops.
+                busy[1].write(b'{"op": "ping"}\n')
+                await server.stop()
+                handlers = [
+                    task
+                    for task in asyncio.all_tasks()
+                    if "_handle_connection" in repr(task.get_coro())
+                ]
+                assert handlers == []
+                assert await idle[0].readline() == b""
+                # The stopped server sends no reply: EOF, or a reset for
+                # the request it never read.
+                try:
+                    assert await busy[0].read() == b""
+                except ConnectionResetError:
+                    pass
+                busy[1].close()
+                idle[1].close()
+                await idle[1].wait_closed()
+            finally:
+                await server.stop()
+                await service.stop()
+
+        with caplog.at_level(logging.WARNING):
+            run(scenario())
+        assert [record.getMessage() for record in caplog.records] == []
