@@ -8,8 +8,6 @@ from repro.algorithms.dijkstra import (
 )
 from repro.algorithms.bidirectional import bidirectional_dijkstra
 from repro.algorithms.bfs import bfs_distances, bfs_order, double_sweep_pseudo_peripheral
-from repro.algorithms.astar import astar_distance
-from repro.algorithms.paths import reconstruct_path, path_weight
 
 __all__ = [
     "dijkstra",
@@ -20,7 +18,4 @@ __all__ = [
     "bfs_distances",
     "bfs_order",
     "double_sweep_pseudo_peripheral",
-    "astar_distance",
-    "reconstruct_path",
-    "path_weight",
 ]

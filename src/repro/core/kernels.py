@@ -12,11 +12,10 @@ This module is that payoff:
   gathered with two fancy-indexing passes, and ``np.minimum.reduceat``
   reduces each pair's segment.  Python overhead is O(1) per *batch* instead
   of O(prefix) per *pair*.
-* :func:`seed_affected_rows` and :func:`interval_hit_levels` lift the
-  increase mark phases' ``on_old_shortest_path`` predicate to a tolerance
-  compare over whole label rows at once; both the Pareto interval mark
-  search and Label Search's affected-seed pass call them (falling back to
-  their scalar loops on short rows, where the numpy call overhead loses).
+* :func:`seed_affected_rows` lifts Label Search's affected-seed test
+  (Algorithm 2 line 5, an exact ``==``) to one compare over whole label
+  rows at once (falling back to the scalar loop on short rows, where the
+  numpy call overhead loses).
 * :class:`LabelSearchRounds` runs the batched Label Search engine's two
   passes for *all label indexes of a coalesced batch at once*, as
   level-synchronous rounds over flat entry positions of the label store and
@@ -71,18 +70,6 @@ KERNEL_NAMES = ("scalar", "vector")
 #: The kernel ``kernel=None`` resolves to (import-time selection).
 DEFAULT_KERNEL = "vector" if HAS_NUMPY else "scalar"
 
-#: Relative slack for the mark phases' "does this old shortest path run
-#: through the updated edge" test (Algorithm 2 line 5 / Algorithm 4 line
-#: 17).  Exact float equality only survives while every label entry is
-#: bitwise-identical to the left-to-right relaxation sum that built it;
-#: decrease repairs write entries as differently-associated sums of the same
-#: reals, so after the first decrease an exact test silently misses affected
-#: entries.  Over-marking is repair-safe, so the slack trades a sliver of
-#: extra repair work for robustness on any label state.  (Moved here from
-#: ``label_search`` so the row-level kernels and the scalar predicate share
-#: one constant; ``label_search`` re-exports both.)
-MARK_SLACK = 1e-9
-
 #: Minimum row span before the row-level mark kernels beat their scalar
 #: loops: a numpy call costs a few microseconds of fixed overhead (buffer
 #: wrap, slicing, ufunc dispatch) while the scalar loop runs ~0.15us per
@@ -102,20 +89,6 @@ _QUERY_CHUNK_PAIRS = 1024
 #: this is never hit on real road networks; a pathological hierarchy falls
 #: back to the scalar prefix computation rather than overflowing.
 _MAX_BITS_DEPTH = 62
-
-
-def on_old_shortest_path(candidate: float, entry: float) -> bool:
-    """Whether ``candidate`` realises the finite ``entry`` up to float re-association.
-
-    The package's one float tolerance, relative: ``MARK_SLACK * max(1.0,
-    entry)``.  The mark phases ask it whether an old shortest path runs
-    through an updated edge, and
-    :meth:`repro.core.labelling.STLLabels.equals` / ``differences`` and
-    :func:`repro.core.labelling.verify_labels` ask it whether two entries
-    agree -- engines that associate the same sum differently land one ulp
-    apart, which at ``1e15`` is more than any absolute tolerance would allow.
-    """
-    return abs(candidate - entry) <= MARK_SLACK * max(1.0, entry)
 
 
 def normalize_kernel(kernel: str | None) -> str:
@@ -354,7 +327,7 @@ def batch_query(
 
 
 # --------------------------------------------------------------------------- #
-# Row-level mark kernels (the increase phases of both engines)
+# Row-level mark kernel (Label Search's affected seeds)
 # --------------------------------------------------------------------------- #
 
 _ROW_TYPES = (memoryview, array)
@@ -389,43 +362,14 @@ def _through_edge(da: Any, db: Any, w_old: Any) -> tuple[Any, Any]:
     """The Algorithm 2 seed test on aligned entry arrays of both endpoints.
 
     ``push_b[k]`` says the old shortest path behind ``db[k]`` runs through
-    the updated edge (``da[k] + w_old`` realises it up to
-    :data:`MARK_SLACK`), ``push_a[k]`` the converse; an entry never seeds
-    both sides and ``inf`` entries seed nothing.
+    the updated edge (``da[k] + w_old == db[k]``), ``push_a[k]`` the
+    converse; an entry never seeds both sides and ``inf`` entries seed
+    nothing.
     """
-    with _np.errstate(invalid="ignore"):
-        finite = _np.isfinite(da) & _np.isfinite(db)
-        push_b = finite & _realises(da + w_old, db)
-        push_a = finite & ~push_b & _realises(db + w_old, da)
+    finite = _np.isfinite(da) & _np.isfinite(db)
+    push_b = finite & (da + w_old == db)
+    push_a = finite & ~push_b & (db + w_old == da)
     return push_b, push_a
-
-
-def _realises(candidate: Any, entry: Any) -> Any:
-    """:func:`on_old_shortest_path` over arrays (callers mask ``inf`` entries)."""
-    return _np.abs(candidate - entry) <= MARK_SLACK * _np.maximum(1.0, entry)
-
-
-def interval_hit_levels(
-    d: float, root_row: Any, label_row: Any, lo: int, hi: int
-) -> list[int] | None:
-    """Vectorised Algorithm 4 line-17 test over an active interval.
-
-    Returns the levels ``i`` in ``[lo, hi]`` where ``d + L(root)[i]``
-    realises ``L(v)[i]`` (the scalar loop's exact hit set, skipping ``inf``
-    entries on either side), or ``None`` when the vector path does not apply.
-    """
-    if (
-        not HAS_NUMPY
-        or hi - lo + 1 < VECTOR_MIN_SPAN
-        or not isinstance(root_row, _ROW_TYPES)
-        or not isinstance(label_row, _ROW_TYPES)
-    ):
-        return None
-    root = _as_row_array(root_row)[lo : hi + 1]
-    row = _as_row_array(label_row)[lo : hi + 1]
-    with _np.errstate(invalid="ignore"):
-        mask = _np.isfinite(root) & _np.isfinite(row) & _realises(d + root, row)
-    return [int(i) + lo for i in _np.nonzero(mask)[0]]
 
 
 # --------------------------------------------------------------------------- #
@@ -755,12 +699,13 @@ class LabelSearchRounds:
         Runs on the **old** weights and only reads the labels.  ``(a, b)``
         are the edges oriented ``tau(a) < tau(b)``.  Seeds with the whole-row
         through-the-edge test of :func:`seed_affected_rows`, then grows the
-        marked set breadth-first under the same tolerance predicate: an
-        unmarked finite entry is marked when ``L(u)[i] + w(u, v)`` of an
-        already-marked neighbour realises it.  A true affected entry has a
-        marked predecessor on its old shortest path whose entry plus the arc
-        weight equals it up to re-association, so nothing affected is missed;
-        over-marking only costs repair work.
+        marked set breadth-first under the same exact predicate: an unmarked
+        finite entry is marked when ``L(u)[i] + w(u, v) == L(v)[i]`` for an
+        already-marked neighbour ``u``.  The labels are the greatest fixed
+        point ``G`` (see the class docstring), so every finite non-root
+        entry equals ``fl(L(u)[i] + w(u, v))`` for some neighbour: an entry
+        left unmarked keeps an unmarked chain of such equalities down to its
+        root, which no increase lengthens, so nothing affected is missed.
 
         ``marked`` is an all-``False`` boolean mask over entry positions,
         owned by the caller; on return it is set at exactly the marked
@@ -799,12 +744,9 @@ class LabelSearchRounds:
                 for part in self._chunks(len(positions)):
                     arcs, reached, candidates = self._candidates(vertices[part], positions[part])
                     current = self.entries[reached]
-                    with _np.errstate(invalid="ignore"):
-                        hit = _np.flatnonzero(
-                            ~marked[reached]
-                            & _np.isfinite(current)
-                            & _realises(candidates, current)
-                        )
+                    hit = _np.flatnonzero(
+                        ~marked[reached] & _np.isfinite(current) & (candidates == current)
+                    )
                     reached = reached[hit]
                     # Marking per chunk keeps later chunks (and rounds) from
                     # finding the same entry again.
@@ -855,8 +797,7 @@ class LabelSearchRounds:
                 entry = view[q]
                 if flags[q] or entry == math.inf:
                     continue
-                # on_old_shortest_path, on a finite entry.
-                if abs(d + w - entry) <= MARK_SLACK * max(1.0, entry):
+                if d + w == entry:
                     flags[q] = True
                     stack.append((u, q))
                     new.append((u, q))

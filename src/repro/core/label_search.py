@@ -32,10 +32,6 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from repro.core import kernels
-from repro.core.kernels import (  # noqa: F401 - MARK_SLACK is a back-compat re-export
-    MARK_SLACK,
-    on_old_shortest_path,
-)
 from repro.core.labelling import STLLabels
 from repro.graph.graph import Graph
 from repro.graph.updates import EdgeUpdate, UpdateKind
@@ -48,11 +44,6 @@ UNREACHABLE = math.inf
 #: vertex)`` -- the heap entry an unconfined drain would have pushed at a
 #: separator crossing.  The Label Search analogue of the Pareto escape
 #: records settled by :mod:`repro.core.parallel`.
-#:
-#: The ``on_old_shortest_path`` predicate and its ``MARK_SLACK`` tolerance
-#: (documented in :mod:`repro.core.kernels`, which also hosts their
-#: whole-row vectorised forms) are re-exported above -- the mark phases
-#: below and their historical importers keep using them from here.
 LabelSearchEscape = tuple[int, float, int]
 
 
@@ -189,15 +180,16 @@ def seed_affected_queues(
 ) -> None:
     """Seed the phase-1 affected-vertex queues (Algorithm 2, lines 2-8).
 
-    Must run on the **old** weights (the seeds use ``update.old_weight``);
-    the through-the-edge tests tolerate float re-association via
-    :func:`on_old_shortest_path` -- over-marking only costs repair work,
-    under-marking loses the whole delta.
+    Must run on the **old** weights (the seeds use ``update.old_weight``).
+    The through-the-edge test is exact, ``L(a)[i] + w_old == L(b)[i]``:
+    every Label Search write is the build's ``fl(L(u)[i] + w)``, so an old
+    shortest path through the edge realises its entry bit for bit (see
+    :meth:`repro.core.kernels.LabelSearchRounds.mark_increases`).
 
-    On long label rows the through-the-edge test runs as one whole-row
-    tolerance compare (:func:`repro.core.kernels.seed_affected_rows`) -- the
-    same float64 arithmetic as the scalar loop, so the seeded index set is
-    identical either way (regression-tested against the scalar predicate).
+    On long label rows the test runs as one whole-row compare
+    (:func:`repro.core.kernels.seed_affected_rows`) -- the same float64
+    arithmetic as the scalar loop, so the seeded index set is identical
+    either way.
     """
     for update in increases:
         a, b = _orient(update, tau)
@@ -222,11 +214,11 @@ def seed_affected_queues(
             da, db = label_a[i], label_b[i]
             if math.isinf(da) or math.isinf(db):
                 continue
-            if on_old_shortest_path(da + w_old, db):
+            if da + w_old == db:
                 queues.setdefault(i, [])
                 heappush(queues[i], (da + w_old, b))
                 counters[0] += 1
-            elif on_old_shortest_path(db + w_old, da):
+            elif db + w_old == da:
                 queues.setdefault(i, [])
                 heappush(queues[i], (db + w_old, a))
                 counters[0] += 1
@@ -250,9 +242,10 @@ def drain_affected_queues(
     ``affected_by_index`` may arrive pre-populated (the coordinator settling
     escapes on sets merged from its workers); membership checks against it
     prune re-exploration.  Unlike the decrease drain, escapes *are* gated on
-    :func:`on_old_shortest_path` -- the phase is globally read-only, so the
-    unowned label read is safe, and an ungated escape would flood the
-    coordinator with vertices the predicate immediately rejects.
+    the exact through-the-edge test ``d + w == L(nbr)[i]`` -- the phase is
+    globally read-only, so the unowned label read is safe, and an ungated
+    escape would flood the coordinator with vertices the test immediately
+    rejects.
     """
     for i, heap in queues.items():
         affected = affected_by_index.setdefault(i, set())
@@ -267,7 +260,7 @@ def drain_affected_queues(
                     or math.isinf(weight)
                     or nbr in affected
                     or math.isinf(labels[nbr][i])
-                    or not on_old_shortest_path(d + weight, labels[nbr][i])
+                    or d + weight != labels[nbr][i]
                 ):
                     continue
                 if owned is not None and nbr not in owned:

@@ -47,7 +47,6 @@ from repro.algorithms.dijkstra import (
     dijkstra_rank_restricted_into,
 )
 from repro.core import kernels
-from repro.core.kernels import on_old_shortest_path
 from repro.graph.graph import Graph
 from repro.hierarchy.tree import StableTreeHierarchy
 from repro.utils.errors import LabellingError
@@ -96,6 +95,7 @@ class STLLabels:
         "_epoch",
         "_pins",
         "_drained_callbacks",
+        "_pareto_written",
     )
 
     def __init__(self, labels: Iterable[Iterable[float]]):
@@ -155,6 +155,7 @@ class STLLabels:
         self._epoch = getattr(self, "_epoch", -1) + 1
         self._pins: int = getattr(self, "_pins", 0)
         self._drained_callbacks: list[Any] = getattr(self, "_drained_callbacks", [])
+        self._pareto_written: bool = getattr(self, "_pareto_written", False)
 
     def _release_views(self) -> None:
         """Release every exported view over the current entries buffer."""
@@ -250,6 +251,20 @@ class STLLabels:
         """
         return self._epoch
 
+    @property
+    def pareto_written(self) -> bool:
+        """Whether a Pareto Search pass wrote this store since its last build.
+
+        Pareto writes differently associated sums (an ulp or so from the
+        build's), which Label Search's exact marks can miss; so
+        :class:`repro.core.stl.StableTreeLabelling` reloads a build into such
+        a store before it runs Label Search on it.  It is set by the index
+        on every Pareto write, carried by :meth:`copy`,
+        :meth:`snapshot_store`, :meth:`load_from` and the labelling payload
+        of :mod:`repro.core.serialization`, and cleared by loading a build.
+        """
+        return self._pareto_written
+
     def num_entries(self) -> int:
         """Total number of stored distance entries (Table 4, '# Label Entries')."""
         return self._offsets[-1]
@@ -270,7 +285,9 @@ class STLLabels:
 
     def copy(self) -> "STLLabels":
         """Deep copy (used by tests that compare maintained vs rebuilt labels)."""
-        return STLLabels.from_flat(copy_entries(self._view), array("q", self._offsets))
+        clone = STLLabels.from_flat(copy_entries(self._view), array("q", self._offsets))
+        clone._pareto_written = self._pareto_written
+        return clone
 
     def snapshot_store(self) -> "STLLabels":
         """An independent copy of the entries sharing this store's offsets.
@@ -298,6 +315,7 @@ class STLLabels:
         """
         snap = object.__new__(STLLabels)
         snap._adopt(copy_entries(self._view), self._offsets)
+        snap._pareto_written = self._pareto_written
         return snap
 
     # ------------------------------------------------------------------ #
@@ -348,7 +366,7 @@ class STLLabels:
             self._drained_callbacks.append(callback)
 
     def load_from(self, other: "STLLabels") -> None:
-        """Copy every entry from ``other`` through the live buffer.
+        """Copy every entry (and :attr:`pareto_written`) from ``other`` through the live buffer.
 
         Engines -- and, when shared, resident worker processes -- hold
         references to this object and its memory, so an in-place rebuild must
@@ -357,6 +375,7 @@ class STLLabels:
         if self._offsets != other._offsets:
             raise LabellingError("label shapes differ; cannot load in place")
         self._view[:] = other._view
+        self._pareto_written = other._pareto_written
 
     # ------------------------------------------------------------------ #
     # Shared-memory residency
@@ -406,30 +425,31 @@ class STLLabels:
     # ------------------------------------------------------------------ #
 
     def equals(self, other: "STLLabels") -> bool:
-        """Entry-wise equality up to the package's one float tolerance.
+        """Whether both stores hold the same entries, byte for byte.
 
-        Finite entries are compared with
-        :func:`~repro.core.kernels.on_old_shortest_path`; ``inf`` entries
-        must match exactly.
+        Every Label Search path and the build write the same bytes (the
+        greatest fixed point; see :class:`repro.core.kernels.LabelSearchRounds`),
+        so bytes are the one notion of label equality.  Stores with
+        different vertex counts or row lengths are unequal.  The compare
+        runs over both buffers cast to ``'q'`` and copies nothing.  Output
+        of Pareto Search compares with
+        :func:`repro.core.pareto_search.slack_differences` instead.
 
-        Stores with different vertex counts or row lengths are unequal --
-        every entry one side is missing counts as a mismatch, mirroring
-        :meth:`differences`.
+        >>> entry = 1e15
+        >>> one_ulp = STLLabels([[math.nextafter(entry, math.inf)]])
+        >>> one_ulp.equals(STLLabels([[entry]])), one_ulp.equals(one_ulp.copy())
+        (False, True)
         """
         if self._offsets != other._offsets:
             return False
-        for a, b in zip(self._view, other._view):
-            if math.isinf(a) or math.isinf(b):
-                if a != b:
-                    return False
-            elif not on_old_shortest_path(a, b):
-                return False
-        return True
+        with self._view.cast("B") as mine, other._view.cast("B") as theirs:
+            with mine.cast("q") as mine_q, theirs.cast("q") as theirs_q:
+                return mine_q == theirs_q
 
     def differences(self, other: "STLLabels") -> list[tuple[int, int, float, float]]:
         """List of ``(vertex, index, mine, theirs)`` entries that differ.
 
-        Entries are compared as in :meth:`equals`.  Rows are compared out to
+        Entries are compared exactly.  Rows are compared out to
         ``max(len)`` (and vertex sets out to the larger store): an entry
         present on one side only is reported with ``math.nan`` standing in
         for the missing value and always counts as a difference.  A
@@ -445,13 +465,8 @@ class STLLabels:
             for i in range(max(len(mine), len(theirs))):
                 a = mine[i] if i < len(mine) else math.nan
                 b = theirs[i] if i < len(theirs) else math.nan
-                if math.isnan(a) or math.isnan(b):
-                    different = True
-                elif math.isinf(a) or math.isinf(b):
-                    different = a != b
-                else:
-                    different = not on_old_shortest_path(a, b)
-                if different:
+                # ``nan`` (a missing entry) equals nothing.
+                if a != b:
                     diffs.append((v, i, a, b))
         return diffs
 
@@ -532,7 +547,9 @@ def verify_labels(graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabel
     """Exhaustively verify labels against rank-restricted Dijkstra.
 
     Returns a list of human-readable problems (empty when the labelling is
-    correct).  O(n * h * search) -- strictly a test/debug utility.
+    correct).  Entries must equal Dijkstra's sums exactly, which the build
+    and every Label Search path write.  O(n * h * search) -- strictly a
+    test/debug utility.
     """
     problems: list[str] = []
     tau = hierarchy.tau
@@ -542,11 +559,6 @@ def verify_labels(graph: Graph, hierarchy: StableTreeHierarchy, labels: STLLabel
         for x in hierarchy.descendants(r):
             want = expected.get(x, UNREACHABLE)
             got = labels[x][index]
-            matches = (
-                (want == got)
-                if (math.isinf(want) or math.isinf(got))
-                else on_old_shortest_path(got, want)
-            )
-            if not matches:
+            if got != want:
                 problems.append(f"L({x})[{index}] = {got}, expected {want} (ancestor {r})")
     return problems

@@ -42,16 +42,85 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from repro.core import kernels
-from repro.core.label_search import (
-    MaintenanceStats,
-    _LabelSearchBase,
-    _orient,
-    on_old_shortest_path,
-)
+from repro.core.label_search import MaintenanceStats, _LabelSearchBase, _orient
+from repro.core.labelling import STLLabels
 from repro.graph.updates import EdgeUpdate, UpdateKind
 from repro.utils.errors import UpdateError
 
 UNREACHABLE = math.inf
+
+#: Relative slack of Pareto Search's "does this old shortest path run
+#: through the updated edge" test (Algorithm 4 line 17).  Its decrease
+#: writes ``L(root)[i] + d`` and its increase bumps entries by a sum of
+#: deltas: differently associated sums of the same reals, so after its
+#: first repair the store is no longer the build's bytes, and an exact test
+#: would miss affected entries.  Over-marking only costs repair work.
+#: Label Search never needs it: its every write is the build's expression
+#: ``fl(L(u)[i] + w)``, so its marks compare with ``==``.
+MARK_SLACK = 1e-9
+
+
+def on_old_shortest_path(candidate: float, entry: float) -> bool:
+    """Whether ``candidate`` realises the finite ``entry`` up to :data:`MARK_SLACK`.
+
+    Relative: ``MARK_SLACK * max(1.0, entry)``, because differently
+    associated sums of the same reals land ulps apart, and one ulp at
+    ``1e15`` is more than any absolute tolerance would allow.
+
+    >>> entry = 1e15
+    >>> one_ulp = math.nextafter(entry, math.inf)
+    >>> on_old_shortest_path(one_ulp, entry)
+    True
+    >>> on_old_shortest_path(entry + 2.0 * MARK_SLACK * entry, entry)
+    False
+    """
+    return abs(candidate - entry) <= MARK_SLACK * max(1.0, entry)
+
+
+def _realises(candidate, entry):
+    """:func:`on_old_shortest_path` over arrays (callers mask ``inf`` entries)."""
+    np = kernels._np
+    return np.abs(candidate - entry) <= MARK_SLACK * np.maximum(1.0, entry)
+
+
+def interval_hit_levels(d: float, root_row, label_row, lo: int, hi: int) -> list[int] | None:
+    """Vectorised Algorithm 4 line-17 test over an active interval.
+
+    Returns the levels ``i`` in ``[lo, hi]`` where ``d + L(root)[i]``
+    realises ``L(v)[i]`` (the scalar loop's exact hit set, skipping ``inf``
+    entries on either side), or ``None`` when the vector path does not apply
+    (no numpy, an interval shorter than
+    :data:`repro.core.kernels.VECTOR_MIN_SPAN`, or rows that are not flat
+    buffers) so the caller falls back to the scalar loop.
+    """
+    if (
+        not kernels.HAS_NUMPY
+        or hi - lo + 1 < kernels.VECTOR_MIN_SPAN
+        or not isinstance(root_row, kernels._ROW_TYPES)
+        or not isinstance(label_row, kernels._ROW_TYPES)
+    ):
+        return None
+    np = kernels._np
+    root = kernels._as_row_array(root_row)[lo : hi + 1]
+    row = kernels._as_row_array(label_row)[lo : hi + 1]
+    with np.errstate(invalid="ignore"):
+        mask = np.isfinite(root) & np.isfinite(row) & _realises(d + root, row)
+    return [int(i) + lo for i in np.nonzero(mask)[0]]
+
+
+def slack_differences(mine: STLLabels, theirs: STLLabels) -> list[tuple[int, int, float, float]]:
+    """``mine.differences(theirs)`` less the finite pairs within :data:`MARK_SLACK`.
+
+    The comparison for a store a Pareto pass wrote, whose entries may sit an
+    ulp from the build's; every other store compares exactly
+    (:meth:`~repro.core.labelling.STLLabels.equals`).  ``inf`` entries and
+    entries one side lacks still count as differences.
+    """
+    return [
+        (v, i, a, b)
+        for v, i, a, b in mine.differences(theirs)
+        if not (math.isfinite(a) and math.isfinite(b) and on_old_shortest_path(a, b))
+    ]
 
 
 def interval_mark_search(
@@ -85,11 +154,10 @@ def interval_mark_search(
     :func:`shared_frontier_relax`).
 
     On wide active intervals the through-the-edge test of each pop runs as
-    one whole-row tolerance compare
-    (:func:`repro.core.kernels.interval_hit_levels`) -- the same float64
-    arithmetic as the scalar loop, so the marked level set is identical
-    either way; short intervals (and non-buffer label rows, e.g. worker
-    dict slices) keep the scalar loop.
+    one whole-row tolerance compare (:func:`interval_hit_levels`) -- the
+    same float64 arithmetic as the scalar loop, so the marked level set is
+    identical either way; short intervals (and non-buffer label rows, e.g.
+    worker dict slices) keep the scalar loop.
     """
     level: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
@@ -108,7 +176,7 @@ def interval_mark_search(
         label_v = labels[v]
         new_min = -1
         new_max = -1
-        hit_levels = kernels.interval_hit_levels(d, label_root, label_v, active_min, active_max)
+        hit_levels = interval_hit_levels(d, label_root, label_v, active_min, active_max)
         if hit_levels is not None:
             if hit_levels:
                 new_min = hit_levels[0]

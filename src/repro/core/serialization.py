@@ -65,6 +65,7 @@ def _labelling_payload(
         ],
         "label_offsets": list(labels.offsets),
         "labels_flat": [_encode_distance(d) for d in labels.view],
+        "pareto_written": labels.pareto_written,
     }
 
 
@@ -124,11 +125,15 @@ def deserialize_labelling(payload: dict, graph: Graph) -> StableTreeLabelling:
                 f"label of vertex {v} has {len(labels[v])} entries, "
                 f"expected {hierarchy.tau[v] + 1}"
             )
+    # A payload saved before the key existed counts as Pareto-written when
+    # its maintenance family is Pareto.
+    maintenance = payload.get("maintenance", "label_search")
+    labels._pareto_written = bool(payload.get("pareto_written", maintenance == "pareto"))
     return StableTreeLabelling(
         graph,
         hierarchy,
         labels,
-        payload.get("maintenance", "label_search"),
+        maintenance,
         construction_seconds=float(payload.get("construction_seconds", 0.0)),
     )
 

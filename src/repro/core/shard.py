@@ -19,10 +19,11 @@ built from -- balanced vertex separators (:mod:`repro.partition`):
   label-writing phase serially, and applies the residual sub-batch serially
   last.
 
-**Equivalence guarantee.**  The engine produces labels entry-wise equal to
-what the single-threaded :class:`repro.core.batch.BatchedParetoEngine` (and a
-from-scratch rebuild) produces, by construction rather than by scheduling
-luck -- concurrency is only ever applied to phases that cannot race:
+**Equivalence guarantee.**  The engine produces labels equal (up to Pareto
+Search's float tolerance) to what the single-threaded
+:class:`repro.core.batch.BatchedParetoEngine` (and a from-scratch rebuild)
+produces, by construction rather than by scheduling luck -- concurrency is
+only ever applied to phases that cannot race:
 
 * *Increases* -- the per-update mark phase is read-only on the graph and the
   labels, so the shards' mark searches run concurrently without any
@@ -133,7 +134,8 @@ class ShardBackend(Protocol):
     partitioned label ownership).  All three take a **coalesced** batch,
     run it through the requested batch ``engine`` (``"pareto"`` or
     ``"label_search"``; any engine composes with any backend) and leave
-    labels entry-wise equal to that engine's serial result.
+    labels equal to that engine's serial result: byte for byte under Label
+    Search, up to Pareto Search's float tolerance under Pareto.
     """
 
     name: str

@@ -16,7 +16,9 @@ every single update runs as a one-update batch of the batched Label Search
 engine, so single updates and batches share one path.
 ``maintenance="pareto"`` selects the per-update Pareto Search classes
 (Algorithms 3-5) instead, which is how the STL-P rows of Table 3 are
-produced.
+produced.  Label Search writes the build's bytes and marks with exact
+``==``; Pareto does neither, so the first Label Search pass after a Pareto
+write reloads a build into the store.
 """
 
 from __future__ import annotations
@@ -289,12 +291,13 @@ class StableTreeLabelling:
         update's kind to the per-update Pareto classes (STL-P).
         """
         if self._maintenance_mode == "label_search":
+            self._prepare_store("label_search")
             return self._ls_batch_engine.apply([update])
-        if update.kind is UpdateKind.INCREASE:
-            return self._increase.apply(update)
-        if update.kind is UpdateKind.DECREASE:
-            return self._decrease.apply(update)
-        return MaintenanceStats(updates_processed=1)
+        if update.kind is UpdateKind.NEUTRAL:
+            return MaintenanceStats(updates_processed=1)
+        self._prepare_store("pareto")
+        search = self._increase if update.kind is UpdateKind.INCREASE else self._decrease
+        return search.apply(update)
 
     def apply_batch(
         self, updates: Iterable[EdgeUpdate], *, config: STLConfig | None = None
@@ -333,8 +336,10 @@ class StableTreeLabelling:
           ``"label_search"`` (the ancestor-centric searches of
           :mod:`repro.core.batch_label_search`).  ``None`` means Label
           Search, which has won at every measured batch size.  Every engine
-          runs on every backend and all strategies produce entry-wise
-          identical labels, so both choices are purely performance matters;
+          runs on every backend.  Label Search writes the build's bytes on
+          each of them; Pareto writes the same distances up to float
+          re-association, so a Label Search batch after a Pareto write
+          first reloads a build (:attr:`STLLabels.pareto_written`).
           ``stats.extra["label_search_engine"]`` records a Label Search
           batch.
         The serial Label Search engine runs its vector frontier rounds when
@@ -360,6 +365,7 @@ class StableTreeLabelling:
         effective = sum(1 for u in net if u.kind is not UpdateKind.NEUTRAL)
         used_engine = cfg.engine or "label_search"
         if cfg.backend in ("thread", "process"):
+            self._prepare_store(used_engine)
             stats = self._shard_backend(cfg.backend).apply(
                 net.updates, max_workers=policy.max_workers, engine=used_engine
             )
@@ -367,15 +373,30 @@ class StableTreeLabelling:
         elif policy.should_rebuild(effective, self.graph.num_edges):
             stats = self._rebuild_in_place(net)
             used_engine = "rebuild"
-        elif used_engine == "label_search":
-            stats = self._ls_batch_engine.apply(net.updates)
         else:
-            stats = self._batch_engine.apply(net.updates)
+            self._prepare_store(used_engine)
+            engine = self._ls_batch_engine if used_engine == "label_search" else self._batch_engine
+            stats = engine.apply(net.updates)
         stats.updates_processed += total - len(net)
         stats.extra["net_updates"] = len(net)
         if used_engine == "label_search":
             stats.extra["label_search_engine"] = 1
         return stats
+
+    def _prepare_store(self, engine: str) -> None:
+        """Ready the store for a pass of ``engine`` ("pareto" or "label_search").
+
+        A Pareto pass marks the store :attr:`~STLLabels.pareto_written`.
+        Label Search marks with exact ``==``, which holds on the build's
+        bytes but can miss an entry Pareto wrote as a differently associated
+        sum, so before it runs on such a store the store reloads a build on
+        the current weights.  This guard lasts as long as Pareto Search is a
+        production maintenance family.
+        """
+        if engine == "pareto":
+            self.labels._pareto_written = True
+        elif self.labels.pareto_written:
+            self.labels.load_from(build_labels(self.graph, self.hierarchy))
 
     def _shard_backend(self, backend: str) -> ShardBackend:
         """The thread engine, or the lazily created process backend.

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import settings
 
 from repro.core import kernels
+from repro.core.labelling import build_labels
+from repro.core.pareto_search import slack_differences
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import (
     city_road_network,
@@ -88,6 +90,23 @@ def paired_indexes(
     serial = StableTreeLabelling.build(graph.copy(), HierarchyOptions(leaf_size=leaf_size))
     other = StableTreeLabelling(graph.copy(), serial.hierarchy, serial.labels.copy())
     return serial, other
+
+
+def assert_bytes_of_a_build(stl: StableTreeLabelling) -> None:
+    """The index's labels hold a from-scratch build's bytes on its graph:
+    the check for every store the build and Label Search wrote."""
+    fresh = build_labels(stl.graph, stl.hierarchy)
+    assert bytes(stl.labels.view) == bytes(fresh.view), stl.labels.differences(fresh)[:5]
+
+
+def slack_from_rebuild(graph: Graph, hierarchy, labels) -> list:
+    """Entries of a store a Pareto pass wrote that a build on ``graph`` does
+    not realise within ``MARK_SLACK`` (empty when the store is correct).
+
+    The rebuild check for Pareto output, in :func:`verify_labels`' shape;
+    a store that only the build and Label Search wrote compares exactly.
+    """
+    return slack_differences(labels, build_labels(graph, hierarchy))
 
 
 def apply_batch_without_numpy(stl: StableTreeLabelling, batch, config=None):

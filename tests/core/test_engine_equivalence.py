@@ -2,9 +2,11 @@
 
 The batch layer now exposes a joint crossover -- two engine families
 (``pareto``, ``label_search``) times three shard backends (``serial``,
-``thread``, ``process``).  All six pairs promise *entry-wise identical*
-labels; this suite is the promise's enforcement, parametrized over the full
-matrix and three workload shapes:
+``thread``, ``process``).  The three Label Search cells promise the build's
+*bytes*; the three Pareto cells the same distances up to ``MARK_SLACK``
+(:func:`repro.core.pareto_search.slack_differences`), because Pareto writes
+differently associated sums.  This suite is the promise's enforcement,
+parametrized over the full matrix and three workload shapes:
 
 * the Figure 10 workload (``mixed_update_stream`` halves, the shape the
   benchmarks replay),
@@ -12,9 +14,9 @@ matrix and three workload shapes:
 * a degenerate plan whose updates *all* touch the separator (nothing to
   shard -- the backends must degrade to their serial engines).
 
-Every scenario asserts against :meth:`repro.core.labelling.STLLabels
-.differences` with labels rebuilt from scratch on the final weights -- the
-strongest oracle available, independent of any maintenance code path.
+Every scenario compares with labels rebuilt from scratch on the final
+weights -- the strongest oracle available, independent of any maintenance
+code path.
 
 The ``label_search-serial`` cell -- the one the default config routes every
 batch to -- runs twice, because its kernel follows the platform: once with
@@ -34,6 +36,7 @@ import pytest
 from repro.core import kernels
 from repro.core.batch import BatchPolicy
 from repro.core.labelling import build_labels
+from repro.core.pareto_search import slack_differences
 from repro.core.shard import ShardPlanner
 from repro.core.stl import StableTreeLabelling
 from repro.graph.updates import EdgeUpdate, UpdateBatch
@@ -93,11 +96,15 @@ def stl(small_grid):
     index.close()
 
 
-def assert_matches_rebuild(index: StableTreeLabelling) -> None:
-    """The maintained labels equal a from-scratch build on the final graph."""
+def assert_matches_rebuild(index: StableTreeLabelling, engine: str = "label_search") -> None:
+    """The maintained labels equal a from-scratch build on the final graph:
+    byte for byte after Label Search, up to ``MARK_SLACK`` after Pareto."""
     fresh = build_labels(index.graph, index.hierarchy)
-    diffs = index.labels.differences(fresh)
-    assert diffs == [], f"{len(diffs)} label entries diverged: {diffs[:5]}"
+    if engine == "pareto":
+        diffs = slack_differences(index.labels, fresh)
+        assert diffs == [], f"{len(diffs)} label entries diverged: {diffs[:5]}"
+    else:
+        assert bytes(index.labels.view) == bytes(fresh.view), index.labels.differences(fresh)[:5]
 
 
 # The three workload shapes, as generators over the *live* graph: each batch
@@ -138,7 +145,7 @@ class TestEngineBackendMatrix:
         decrease half, through one matrix cell."""
         for batch in figure10_batches(stl.graph):
             stl.apply_batch(batch, config=cell)
-            assert_matches_rebuild(stl)
+            assert_matches_rebuild(stl, cell.engine)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_multi_round_mixed_batches_match_rebuild(self, stl, cell, seed):
@@ -146,7 +153,7 @@ class TestEngineBackendMatrix:
         rounds must stay exact, not just each round in isolation."""
         for batch in mixed_round_batches(stl.graph, seed):
             stl.apply_batch(batch, config=cell)
-        assert_matches_rebuild(stl)
+        assert_matches_rebuild(stl, cell.engine)
 
     def test_fully_separator_crossing_batch_matches_rebuild(self, stl, cell):
         """A batch made only of separator-touching edges: the plan has no
@@ -155,11 +162,12 @@ class TestEngineBackendMatrix:
         for batch in separator_crossing_batch(stl.graph):
             stats = stl.apply_batch(batch, config=cell)
             assert stats.updates_processed >= len(batch)
-        assert_matches_rebuild(stl)
+        assert_matches_rebuild(stl, cell.engine)
 
     def test_engines_agree_with_each_other(self, small_grid, cell):
         """Transitivity check in the other direction: every cell equals the
-        serial Pareto engine on the same stream (so any two cells agree)."""
+        serial Pareto engine on the same stream up to ``MARK_SLACK`` (so any
+        two cells agree)."""
         reference = StableTreeLabelling.build(
             small_grid.copy(), HierarchyOptions(leaf_size=8)
         )
@@ -174,7 +182,7 @@ class TestEngineBackendMatrix:
                 batch = random_mixed_batch(reference.graph, 50, seed=100 + round_)
                 reference.apply_batch(batch, config=STLConfig(backend="serial", engine="pareto"))
                 candidate.apply_batch(batch, config=cell)
-            assert candidate.labels.differences(reference.labels) == []
+            assert slack_differences(candidate.labels, reference.labels) == []
         finally:
             candidate.close()
 
@@ -183,8 +191,8 @@ class TestEngineBackendMatrix:
 class TestVectorKernelBitIdentity:
     """``label_search/serial``: the vector rounds against the scalar heaps.
 
-    Equality with a rebuild holds to a tolerance; between the two kernels
-    the bar is the byte content of the label buffer, after every batch.
+    Both kernels hold the byte content of a rebuild, and of each other,
+    after every batch.
     """
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda f: f.__name__)

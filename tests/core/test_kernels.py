@@ -299,34 +299,6 @@ class TestMarkPhaseParity:
         assert collect(True) == collect(False)
 
 
-class TestOnOldShortestPath:
-    """The package's one float tolerance: ``MARK_SLACK * max(1.0, entry)``."""
-
-    def test_relative_at_large_magnitude(self):
-        # The Pareto / rebuild pair of the pinned property-test stream: one
-        # ulp apart at 1e15, far beyond any absolute 1e-9.
-        assert kernels.on_old_shortest_path(1000000000000038.5, 1000000000000038.6)
-        bound = kernels.MARK_SLACK * 1e15
-        assert kernels.on_old_shortest_path(1e15 + 0.5 * bound, 1e15)
-        assert not kernels.on_old_shortest_path(1e15 + 2.0 * bound, 1e15)
-
-    def test_absolute_floor_below_one(self):
-        for entry in (0.0, 0.5, 1.0):
-            assert kernels.on_old_shortest_path(entry + 0.5 * kernels.MARK_SLACK, entry)
-            assert not kernels.on_old_shortest_path(entry + 2.0 * kernels.MARK_SLACK, entry)
-
-    @needs_numpy
-    def test_row_predicate_matches_scalar(self):
-        import numpy as np
-
-        entries = [0.0, 0.5, 1.0, 7.25, 1e6, 1e15]
-        offsets = [0.0, 0.4, 0.6, 2.0, 1e3]
-        candidate = [e + o * kernels.MARK_SLACK * max(1.0, e) for e in entries for o in offsets]
-        entry = [e for e in entries for _ in offsets]
-        vector = kernels._realises(np.asarray(candidate), np.asarray(entry))
-        assert list(vector) == [kernels.on_old_shortest_path(c, e) for c, e in zip(candidate, entry)]
-
-
 class TestSeedAffectedRowsGates:
     def test_short_prefix_falls_back(self, city_stl):
         # Below VECTOR_MIN_SPAN the kernel must decline so the scalar loop
@@ -337,6 +309,24 @@ class TestSeedAffectedRowsGates:
     def test_non_buffer_rows_fall_back(self):
         assert kernels.seed_affected_rows([1.0, 2.0], [1.0, 2.0], 1.0, 10**6) is None
 
-    def test_interval_kernel_short_span_falls_back(self, city_stl):
-        row = city_stl.labels[0]
-        assert kernels.interval_hit_levels(1.0, row, row, 0, 1) is None
+    @pytest.mark.parametrize("force_vector", [pytest.param(True, marks=needs_numpy), False])
+    def test_seed_test_is_exact(self, monkeypatch, force_vector):
+        """Label Search seeds an index only where ``L(a)[i] + w_old`` *is*
+        ``L(b)[i]``: an entry one ulp away is not on the old shortest path,
+        on the row kernel and on the scalar loop alike."""
+        from array import array
+
+        from repro.core.label_search import seed_affected_queues
+        from repro.graph.updates import EdgeUpdate
+
+        monkeypatch.setattr(kernels, "VECTOR_MIN_SPAN", 1 if force_vector else 10**9)
+        w_old = 0.1
+        row_a = [0.7 * k for k in range(40)]
+        row_b = [d + w_old for d in row_a]
+        row_b[3] = math.nextafter(row_b[3], math.inf)
+        row_b[5] = math.nextafter(row_b[5], 0.0)
+        labels = [array("d", row_a), array("d", row_b + [0.0])]
+        tau = [39, 40]
+        queues: dict = {}
+        seed_affected_queues(tau, labels, [EdgeUpdate(0, 1, w_old, 1.0)], queues, [0, 0, 0])
+        assert sorted(queues) == [i for i in range(40) if i not in (3, 5)]

@@ -145,9 +145,9 @@ class TestBatchedEngine:
     def test_repeated_batches_stay_exact(self, small_grid):
         """Label Search mirror of the sharded engine's regression: repeated
         mixed batches land on labels whose entries were rewritten by earlier
-        repairs, so a marking predicate that is too strict (or an
-        old-shortest-path test that drifted from ``on_old_shortest_path``)
-        silently loses increase deltas only from round two onward."""
+        repairs, so a marking predicate that is too strict silently loses
+        increase deltas only from round two onward.  The exact marks do not,
+        because every repair writes the build's bytes."""
         hierarchy, labels = _build(small_grid)
         engine = BatchedLabelSearchEngine(small_grid, hierarchy, labels)
         for round_ in range(3):

@@ -29,7 +29,12 @@ from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import ConfigError
 from repro.workloads.updates import rush_hour_stream
-from tests.conftest import apply_batch_without_numpy, paired_indexes, random_mixed_batch
+from tests.conftest import (
+    apply_batch_without_numpy,
+    assert_bytes_of_a_build,
+    paired_indexes,
+    random_mixed_batch,
+)
 
 needs_numpy = pytest.mark.skipif(not kernels.HAS_NUMPY, reason="requires numpy (repro[fast])")
 
@@ -44,8 +49,7 @@ def apply_to_both(scalar, vector, batch):
     stats = vector.apply_batch(batch, config=LABEL_SEARCH)
     assert stats.extra["vector_kernel"] == 1
     assert vector.labels.view.tobytes() == scalar.labels.view.tobytes()
-    fresh = build_labels(vector.graph, vector.hierarchy)
-    assert vector.labels.differences(fresh) == []
+    assert_bytes_of_a_build(vector)
     return reference, stats
 
 
@@ -117,9 +121,10 @@ class TestVectorKernelCases:
         apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=4))
 
     def test_repeated_batches_stay_exact(self, small_grid):
-        """The tolerance regression (``on_old_shortest_path``) with the vector
-        kernel pinned: from round two on, entries are differently-associated
-        sums written by earlier repairs, and an exact mark would miss them."""
+        """Repeated mixed batches with the vector kernel pinned: from round
+        two on, every entry an increase marks was written by an earlier
+        repair, which wrote the build's expression -- so the exact marks
+        find every affected entry and the bytes stay a build's."""
         scalar, vector = paired_indexes(small_grid)
         for round_ in range(4):
             apply_to_both(scalar, vector, random_mixed_batch(scalar.graph, 40, seed=round_))
@@ -175,7 +180,7 @@ class TestVectorKernelCases:
         stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=1))
         stl.adopt_labels(stl.labels.snapshot_store())
         stl.apply_batch(random_mixed_batch(stl.graph, 20, seed=2))
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+        assert_bytes_of_a_build(stl)
 
     def test_arc_tables_are_reused_until_the_graph_arrays_change(self, small_grid):
         """One-update batches reuse the per-arc tables cached on the store;
@@ -205,7 +210,7 @@ class TestVectorKernelCases:
         engine = BatchedLabelSearchEngine(stl.graph, stl.hierarchy, stl.labels)
         batch = random_mixed_batch(stl.graph, 20, seed=9).coalesce(stl.graph)
         assert engine.apply(batch.updates).extra["vector_kernel"] == 1
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+        assert_bytes_of_a_build(stl)
 
 
 # --------------------------------------------------------------------------- #
@@ -400,7 +405,7 @@ class TestKernelSelection:
         assert stats.extra["label_search_engine"] == 1
         assert "sharded" not in stats.extra and "process_workers" not in stats.extra
         assert ("vector_kernel" in stats.extra) == kernels.HAS_NUMPY
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+        assert_bytes_of_a_build(stl)
 
     @needs_numpy
     def test_config_kernel_does_not_pin_the_batch_engine(self, small_grid):
@@ -420,7 +425,7 @@ class TestKernelSelection:
         stats = stl.apply_batch(random_mixed_batch(stl.graph, 12, seed=5))
         assert stats.extra["label_search_engine"] == 1
         assert "vector_kernel" not in stats.extra and "sharded" not in stats.extra
-        assert stl.labels.differences(build_labels(stl.graph, stl.hierarchy)) == []
+        assert_bytes_of_a_build(stl)
 
 
 def csr_from_lists(graph: Graph) -> list[list]:
@@ -492,7 +497,7 @@ class TestGraphArrays:
         assert graph.csr()[2] is weights
         # ...and the batch after all of that is still exact.
         stl.apply_batch(random_mixed_batch(graph, 30, seed=5))
-        assert stl.labels.differences(build_labels(graph, stl.hierarchy)) == []
+        assert_bytes_of_a_build(stl)
 
     def test_new_edge_rebuilds_the_arrays(self, small_grid):
         graph = small_grid.copy()

@@ -226,30 +226,27 @@ class TestCSRStore:
         assert after == before
 
 
-class TestOneTolerance:
-    """Store comparison and verification share ``kernels.on_old_shortest_path``."""
+class TestExactComparison:
+    """``equals``, ``differences`` and ``verify_labels`` compare exactly:
+    bytes are the one notion of label equality.  Pareto output has its own
+    comparison (:func:`repro.core.pareto_search.slack_differences`)."""
 
     NEAR_INF = 1000000000000038.5
 
-    def test_one_ulp_at_large_magnitude_is_equal(self):
-        from repro.core.labelling import STLLabels
-
+    def test_one_ulp_at_large_magnitude_is_unequal(self):
         mine = STLLabels([[0.0], [self.NEAR_INF, 0.0]])
-        theirs = STLLabels([[0.0], [math.nextafter(self.NEAR_INF, math.inf), 0.0]])
-        assert mine.equals(theirs)
-        assert mine.differences(theirs) == []
+        ulp = math.nextafter(self.NEAR_INF, math.inf)
+        theirs = STLLabels([[0.0], [ulp, 0.0]])
+        assert not mine.equals(theirs)
+        assert mine.differences(theirs) == [(1, 0, self.NEAR_INF, ulp)]
 
     def test_gap_beyond_slack_is_reported(self):
-        from repro.core.labelling import STLLabels
-
         mine = STLLabels([[0.0], [1.0, 0.0]])
         theirs = STLLabels([[0.0], [1.0 + 1e-8, 0.0]])
         assert not mine.equals(theirs)
         assert mine.differences(theirs) == [(1, 0, 1.0, 1.0 + 1e-8)]
 
     def test_inf_matches_only_inf(self):
-        from repro.core.labelling import STLLabels
-
         mine = STLLabels([[0.0], [math.inf, 0.0]])
         assert mine.equals(STLLabels([[0.0], [math.inf, 0.0]]))
         theirs = STLLabels([[0.0], [1e300, 0.0]])
@@ -263,15 +260,14 @@ class TestOneTolerance:
         with pytest.raises(TypeError):
             labels.differences(labels.copy(), tolerance=1.0)
 
-    def test_verify_labels_is_relative(self):
+    def test_verify_labels_is_exact(self):
         graph = Graph.from_edges(2, [(0, 1, self.NEAR_INF)])
         hierarchy = build_hierarchy(graph, HierarchyOptions(leaf_size=1))
         labels = build_labels(graph, hierarchy)
+        assert verify_labels(graph, hierarchy, labels) == []
         v = next(v for v in range(2) if labels[v][0] == self.NEAR_INF)
         labels[v][0] = math.nextafter(self.NEAR_INF, math.inf)
-        assert verify_labels(graph, hierarchy, labels) == []
-        labels[v][0] = self.NEAR_INF * (1.0 + 1e-8)
-        assert verify_labels(graph, hierarchy, labels) != []
+        assert len(verify_labels(graph, hierarchy, labels)) == 1
 
 
 class TestDifferencesShapeMismatches:
@@ -370,6 +366,29 @@ class TestStoreCopies:
     def test_snapshot_shares_offsets(self, grid_store):
         assert grid_store.snapshot_store().offsets is grid_store.offsets
         assert grid_store.copy().offsets is not grid_store.offsets
+
+    def test_equals_copies_nothing(self, grid_store):
+        """The byte compare runs over ``'q'`` casts of both buffers: it
+        allocates nothing near the size of a store, and sees one ulp."""
+        other = grid_store.copy()
+        equal, peak = _traced_peak(lambda: grid_store.equals(other))
+        assert equal and peak < 4096
+        other.view[len(other.view) // 2] = math.nextafter(other.view[len(other.view) // 2], 0.0)
+        assert not grid_store.equals(other)
+
+    @pytest.mark.parametrize("method", ["snapshot_store", "copy"])
+    def test_copies_carry_pareto_written(self, grid_store, method):
+        """Whether a Pareto pass wrote a store travels with its bytes; a
+        build loaded into it clears it."""
+        store = grid_store.copy()
+        assert not store.pareto_written
+        store._pareto_written = True
+        assert getattr(store, method)().pareto_written
+        target = grid_store.copy()
+        target.load_from(store)
+        assert target.pareto_written
+        target.load_from(grid_store)
+        assert not target.pareto_written
 
 
 class TestRowsOnDemand:

@@ -10,9 +10,15 @@ classes and the batch engines started sharing their search code:
 * per-update Pareto Search increases and decreases (a closure to ``inf``
   and its re-opening included),
 * per-update Label Search increases and decreases, through the scalar
-  ``LabelSearchIncrease`` / ``LabelSearchDecrease`` classes,
+  ``LabelSearchIncrease`` / ``LabelSearchDecrease`` classes (``apply_update``
+  with numpy switched off),
 * one ``BatchedParetoEngine`` batch,
 * one batched Label Search batch on the scalar heaps (numpy switched off).
+
+Every Label Search step must also hold a build's bytes: the index reloads a
+build before the first Label Search pass on a store Pareto wrote, so the
+batch after ``batch.pareto`` starts from canonical labels.  (Its digest was
+re-recorded when that reload arrived; its counters did not move.)
 
 The same Label Search steps through the default ``apply_update`` -- a
 one-update batch of the batched Label Search engine, on the vector rounds
@@ -25,14 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from unittest.mock import patch
 
 from repro.core import kernels
 from repro.core.batch import BatchPolicy
 from repro.core.config import STLConfig
-from repro.core.label_search import LabelSearchDecrease, LabelSearchIncrease
+from repro.core.labelling import build_labels
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import grid_road_network
-from repro.graph.updates import EdgeUpdate, UpdateBatch, UpdateKind
+from repro.graph.updates import EdgeUpdate, UpdateBatch
 from repro.hierarchy.builder import HierarchyOptions
 from tests.conftest import apply_batch_without_numpy
 
@@ -68,8 +75,12 @@ EXPECTED = [
     ("label_search.close.11", (1, 22, 74, 74, 76), "50449f3d1598f4c4"),
     ("label_search.reopen.11", (1, 18, 58, 0, 80), "d0d90209ec2193f5"),
     ("batch.pareto", (7, 0, 803, 232, 933), "a840469a80364b4e"),
-    ("batch.label_search.scalar", (7, 42, 638, 284, 726), "b5225c46420bc1ef"),
+    ("batch.label_search.scalar", (7, 42, 638, 284, 726), "d613fb617faab9d0"),
 ]
+
+#: The steps whose bytes must be a build's: the build and every Label
+#: Search step (the first after Pareto steps reloads a build first).
+CANONICAL = ("build", "label_search.", "batch.label_search.")
 
 
 #: The ``label_search.*`` steps through the default ``apply_update`` on the
@@ -118,9 +129,13 @@ def _batch(stl: StableTreeLabelling, picks: list[int]) -> UpdateBatch:
 
 
 def scalar_label_search_update(stl: StableTreeLabelling, update: EdgeUpdate):
-    """One update through the scalar Label Search class of its kind."""
-    search = LabelSearchIncrease if update.kind is UpdateKind.INCREASE else LabelSearchDecrease
-    return search(stl.graph, stl.hierarchy, stl.labels).apply(update)
+    """One update through ``apply_update`` with numpy switched off: the
+    scalar Label Search class of its kind, after the index's reload of a
+    build into a store Pareto wrote."""
+    with patch.object(kernels, "HAS_NUMPY", False):
+        stats = stl.apply_update(update)
+    assert "vector_kernel" not in stats.extra
+    return stats
 
 
 def default_update(stl: StableTreeLabelling, update: EdgeUpdate):
@@ -137,7 +152,7 @@ def run_sequence(stl: StableTreeLabelling, scalar_label_search_batch, label_sear
     """
 
     def digest() -> str:
-        return hashlib.sha256(stl.labels.view.tobytes()).hexdigest()[:16]
+        return store_digest(stl.labels)
 
     yield "build", None, digest()
     stl.set_maintenance("pareto")
@@ -153,6 +168,10 @@ def run_sequence(stl: StableTreeLabelling, scalar_label_search_batch, label_sear
     yield "batch.label_search.scalar", stats, digest()
 
 
+def store_digest(labels) -> str:
+    return hashlib.sha256(labels.view.tobytes()).hexdigest()[:16]
+
+
 def build_index() -> StableTreeLabelling:
     graph = grid_road_network(12, 12, seed=5)
     return StableTreeLabelling.build(graph, HierarchyOptions(leaf_size=4))
@@ -165,6 +184,8 @@ def observed(scalar_label_search_batch, label_search_update) -> list[tuple]:
     for step, stats, sha in run_sequence(stl, scalar_label_search_batch, label_search_update):
         counters = None if stats is None else tuple(getattr(stats, name) for name in COUNTERS)
         record.append((step, counters, sha))
+        if step.startswith(CANONICAL):
+            assert sha == store_digest(build_labels(stl.graph, stl.hierarchy)), step
     stl.close()
     return record
 

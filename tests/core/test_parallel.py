@@ -11,8 +11,8 @@ from itertools import accumulate
 import pytest
 
 from repro.core.batch import BatchedParetoEngine, BatchPolicy
-from repro.core.labelling import verify_labels
 from repro.core.parallel import ProcessShardBackend
+from repro.core.pareto_search import slack_differences
 from repro.core.shard import (
     SHARD_BACKEND_NAMES,
     SerialShardBackend,
@@ -28,7 +28,7 @@ from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import UpdateError
 from repro.workloads.updates import mixed_update_stream
 from repro.core.config import STLConfig
-from tests.conftest import paired_indexes, random_mixed_batch
+from tests.conftest import paired_indexes, random_mixed_batch, slack_from_rebuild
 
 #: Worker count used throughout: more workers than this box has cores, so
 #: the multi-worker ownership merge is exercised even on a 1-CPU runner.
@@ -53,12 +53,13 @@ def process_pair(small_grid):
 
 class TestProcessBackendEquivalence:
     def test_figure10_workload_matches_serial(self, medium_grid):
-        """Entry-wise label equality on the Figure 10 workload.
+        """Label equality on the Figure 10 workload.
 
         The same stream halves (a 200-edge sample doubled, then restored --
         the paper's grouped-maintenance input) go through the serial batched
-        engine and the process backend; labels must agree entry-wise and
-        both graphs must return to their original weights.
+        Pareto engine and the process backend; labels must agree entry-wise
+        up to ``MARK_SLACK`` and both graphs must return to their original
+        weights.
         """
         serial, par = paired_indexes(medium_grid)
         engine = BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels)
@@ -77,8 +78,8 @@ class TestProcessBackendEquivalence:
                 stats = backend.apply(half.coalesce(par.graph).updates)
                 escapes += stats.extra.get("mark_escapes", 0)
                 escapes += stats.extra.get("decrease_escapes", 0)
-            assert serial.labels.equals(par.labels)
-            assert verify_labels(par.graph, par.hierarchy, par.labels) == []
+            assert slack_differences(serial.labels, par.labels) == []
+            assert slack_from_rebuild(par.graph, par.hierarchy, par.labels) == []
             for u, v, w in medium_grid.edges():
                 assert par.graph.weight(u, v) == w
             # The workload must actually exercise the ownership protocol:
@@ -97,8 +98,8 @@ class TestProcessBackendEquivalence:
             batch = random_mixed_batch(serial.graph, 50, seed=seed * 10 + round_)
             engine.apply(batch.coalesce(serial.graph).updates)
             backend.apply(batch.coalesce(par.graph).updates)
-            assert serial.labels.equals(par.labels)
-            assert verify_labels(par.graph, par.hierarchy, par.labels) == []
+            assert slack_differences(serial.labels, par.labels) == []
+            assert slack_from_rebuild(par.graph, par.hierarchy, par.labels) == []
 
     def test_fully_separator_crossing_batch_degrades_serially(self, small_grid):
         """Degenerate plan: every update touches the separator, so the whole
@@ -126,7 +127,7 @@ class TestProcessBackendEquivalence:
             BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels).apply(
                 updates
             )
-            assert serial.labels.equals(par.labels)
+            assert slack_differences(serial.labels, par.labels) == []
         finally:
             backend.close()
 
@@ -138,15 +139,15 @@ class TestProcessBackendEquivalence:
         )
         engine.apply(increases.coalesce(serial.graph).updates)
         backend.apply(increases.coalesce(par.graph).updates)
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
         decreases = UpdateBatch(
             EdgeUpdate(up.u, up.v, up.new_weight, up.old_weight)
             for up in increases.updates
         )
         engine.apply(decreases.coalesce(serial.graph).updates)
         backend.apply(decreases.coalesce(par.graph).updates)
-        assert serial.labels.equals(par.labels)
-        assert verify_labels(par.graph, par.hierarchy, par.labels) == []
+        assert slack_differences(serial.labels, par.labels) == []
+        assert slack_from_rebuild(par.graph, par.hierarchy, par.labels) == []
 
     def test_non_coalesced_batch_rejected(self, small_grid):
         _, par = paired_indexes(small_grid)
@@ -190,7 +191,7 @@ class TestProcessBackendEquivalence:
         engine.apply(batch.coalesce(serial.graph).updates)
         backend.apply(batch.coalesce(par.graph).updates, max_workers=1)
         assert len(backend._workers) == 1, "conflicting request must resize"
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
 
     def test_close_is_idempotent_and_pool_respawns(self, process_pair):
         serial, engine, par, backend = process_pair
@@ -205,7 +206,7 @@ class TestProcessBackendEquivalence:
         batch = random_mixed_batch(serial.graph, 40, seed=8)
         engine.apply(batch.coalesce(serial.graph).updates)
         backend.apply(batch.coalesce(par.graph).updates)
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
 
 
 class TestBackendSelection:
@@ -306,18 +307,20 @@ class TestSharedMemoryResidency:
         assert backend.segment_name is None
         assert not os.path.exists(f"/dev/shm/{name}")
         assert not par.labels.is_shared, "close() must copy labels back out"
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
 
     def test_numpy_cache_invalidated_across_residency_lifecycle(self, process_pair):
         """The cached query views must never outlive a buffer adoption.
 
         ``share_into`` (pool spawn) and ``unshare`` (``close()``) each adopt
         a new entries buffer; a cached ``frombuffer`` view over the old one
-        would serve stale distances -- and a live view over the shm segment
-        would make ``memoryview.release()`` raise ``BufferError`` on close,
-        so this test also covers that ordering.
+        would serve stale distances, and would keep the closed segment's
+        mapping alive.  The test holds only a weak reference to the view
+        over the segment, so after ``close()`` it must be dead.
         """
         pytest.importorskip("numpy")
+        import weakref
+
         from repro.core.kernels import label_arrays
 
         serial, engine, par, backend = process_pair
@@ -331,21 +334,21 @@ class TestSharedMemoryResidency:
         backend.apply(batch.coalesce(par.graph).updates)
         assert par.labels.is_shared
         assert par.labels.buffer_epoch > epoch, "share_into must bump the epoch"
-        shared = label_arrays(par.labels)
-        assert shared is not before, "cache must be rebuilt over the segment"
+        shared = weakref.ref(label_arrays(par.labels)[0])
+        assert shared() is not before[0], "cache must be rebuilt over the segment"
         assert par.batch_query(pairs, config=STLConfig(kernel="vector")) == par.batch_query(
             pairs, config=STLConfig(kernel="scalar"
         ))
 
         shared_epoch = par.labels.buffer_epoch
-        backend.close()  # would raise BufferError if the cache survived
+        backend.close()
         assert not par.labels.is_shared
         assert par.labels.buffer_epoch > shared_epoch
-        assert label_arrays(par.labels) is not shared
+        assert shared() is None, "close() must drop the cached view over the segment"
         assert par.batch_query(pairs, config=STLConfig(kernel="vector")) == par.batch_query(
             pairs, config=STLConfig(kernel="scalar"
         ))
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
 
     def test_pool_resize_unlinks_the_old_segment(self, process_pair):
         import os
@@ -363,7 +366,7 @@ class TestSharedMemoryResidency:
         assert second != first
         assert not os.path.exists(f"/dev/shm/{first}"), "old segment must be unlinked"
         assert os.path.exists(f"/dev/shm/{second}")
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
 
     def test_stl_close_unlinks_every_segment(self, small_grid):
         import os
@@ -391,7 +394,7 @@ class TestSharedMemoryResidency:
         backend.apply(batch.coalesce(par.graph).updates)
         workers_after_round1 = backend._workers
         assert workers_after_round1 is not None
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
         # Round 2: confine all updates to the edges inside one region; the
         # plan degenerates (one populated shard) and runs serially, so every
         # resident worker owns zero touched rows and receives no message.
@@ -409,15 +412,15 @@ class TestSharedMemoryResidency:
         stats = backend.apply(confined.coalesce(par.graph).updates)
         assert "process_workers" not in stats.extra, "confined round must run serially"
         assert backend._workers is workers_after_round1, "idle pool must survive"
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []
         # Round 3: a global batch again; the workers apply it from the owned
         # rows shipped with it (which carry round 2's serial writes).
         batch = random_mixed_batch(serial.graph, 60, seed=36)
         engine.apply(batch.coalesce(serial.graph).updates)
         backend.apply(batch.coalesce(par.graph).updates)
         assert backend._workers is workers_after_round1, "pool must not respawn"
-        assert serial.labels.equals(par.labels)
-        assert verify_labels(par.graph, par.hierarchy, par.labels) == []
+        assert slack_differences(serial.labels, par.labels) == []
+        assert slack_from_rebuild(par.graph, par.hierarchy, par.labels) == []
 
     def test_delta_sync_survives_interleaved_serial_updates(self, process_pair):
         """Three mixed process rounds with per-update serial writes between
@@ -429,7 +432,7 @@ class TestSharedMemoryResidency:
             batch = random_mixed_batch(serial.graph, 50, seed=360 + round_)
             engine.apply(batch.coalesce(serial.graph).updates)
             backend.apply(batch.coalesce(par.graph).updates)
-            assert serial.labels.equals(par.labels)
+            assert slack_differences(serial.labels, par.labels) == []
             # Interleave: single-edge updates applied through the serial
             # engine path on BOTH indexes (the process pool never sees them
             # except through the owned rows shipped with the next batch).
@@ -444,8 +447,8 @@ class TestSharedMemoryResidency:
                         index.graph, index.hierarchy, index.labels
                     ).apply(single.coalesce(index.graph).updates)
                 edges = list(serial.graph.edges())
-            assert serial.labels.equals(par.labels)
-        assert verify_labels(par.graph, par.hierarchy, par.labels) == []
+            assert slack_differences(serial.labels, par.labels) == []
+        assert slack_from_rebuild(par.graph, par.hierarchy, par.labels) == []
 
     def test_process_rounds_keep_the_master_arrays_current(self, process_pair):
         """The process backend writes the master graph's weights; its CSR
@@ -464,4 +467,4 @@ class TestSharedMemoryResidency:
             assert list(neighbors) == [nbr for row in rows for nbr, _ in row]
             assert list(current) == [w for row in rows for _, w in row]
         assert list(weights) == list(serial.graph.csr()[2])
-        assert serial.labels.equals(par.labels)
+        assert slack_differences(serial.labels, par.labels) == []

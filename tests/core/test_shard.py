@@ -8,6 +8,7 @@ from repro.core.batch import BatchedParetoEngine, BatchPolicy
 from repro.core.batch_label_search import BatchedLabelSearchEngine
 from repro.core.labelling import verify_labels
 from repro.core.parallel import ProcessShardBackend
+from repro.core.pareto_search import slack_differences
 from repro.core.shard import (
     SerialShardBackend,
     ShardedBatchEngine,
@@ -20,7 +21,7 @@ from repro.graph.updates import EdgeUpdate
 from repro.hierarchy.builder import HierarchyOptions
 from repro.utils.errors import UpdateError
 from repro.core.config import STLConfig
-from tests.conftest import paired_indexes, random_mixed_batch
+from tests.conftest import paired_indexes, random_mixed_batch, slack_from_rebuild
 
 
 class TestShardPlanner:
@@ -96,7 +97,8 @@ class TestShardPlanner:
 
 
 class TestShardedEquivalence:
-    """Property-style: sharded labels match the serial engine entry-wise."""
+    """Property-style: sharded Pareto labels match the serial Pareto engine
+    and a rebuild, up to ``MARK_SLACK`` (Pareto output's comparison)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_mixed_batches_match_serial(self, small_grid, seed):
@@ -111,8 +113,8 @@ class TestShardedEquivalence:
             planner=ShardPlanner(sharded.graph, num_shards=4),
         )
         engine.apply(batch.coalesce(sharded.graph).updates)
-        assert serial.labels.equals(sharded.labels)
-        assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        assert slack_differences(serial.labels, sharded.labels) == []
+        assert slack_from_rebuild(sharded.graph, sharded.hierarchy, sharded.labels) == []
 
     def test_repeated_batches_stay_exact(self, small_grid):
         """Regression for the float-equality marking bug: a second mixed
@@ -131,9 +133,9 @@ class TestShardedEquivalence:
             batch = random_mixed_batch(serial.graph, 40, seed=round_)
             serial_engine.apply(batch.coalesce(serial.graph).updates)
             engine.apply(batch.coalesce(sharded.graph).updates)
-            assert verify_labels(serial.graph, serial.hierarchy, serial.labels) == []
-            assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
-            assert serial.labels.equals(sharded.labels)
+            assert slack_from_rebuild(serial.graph, serial.hierarchy, serial.labels) == []
+            assert slack_from_rebuild(sharded.graph, sharded.hierarchy, sharded.labels) == []
+            assert slack_differences(serial.labels, sharded.labels) == []
 
     def test_fully_separator_crossing_batch(self, small_grid):
         """Degenerate plan: every update touches the separator, so the whole
@@ -155,8 +157,8 @@ class TestShardedEquivalence:
         assert stats.extra["sharded_updates"] == 0
         assert stats.extra["residual_updates"] == len(updates)
         BatchedParetoEngine(serial.graph, serial.hierarchy, serial.labels).apply(updates)
-        assert serial.labels.equals(sharded.labels)
-        assert verify_labels(sharded.graph, sharded.hierarchy, sharded.labels) == []
+        assert slack_differences(serial.labels, sharded.labels) == []
+        assert slack_from_rebuild(sharded.graph, sharded.hierarchy, sharded.labels) == []
 
     def test_non_coalesced_batch_rejected(self, small_grid):
         _, sharded = paired_indexes(small_grid)

@@ -1,8 +1,9 @@
 """Property-based tests for the dynamic maintenance algorithms.
 
 The central invariant: after any sequence of weight updates, the maintained
-labels are identical to labels rebuilt from scratch on the updated graph --
-for both Label Search and Pareto Search, per-update and batched, and for
+labels equal labels rebuilt from scratch on the updated graph -- byte for
+byte after Label Search, up to ``MARK_SLACK`` after Pareto Search (which
+writes differently associated sums) -- per-update and batched, and for
 increases and decreases (including deletions to ``inf`` and restores back).
 """
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.baselines.dijkstra_oracle import DijkstraOracle
 from repro.core.batch import BatchPolicy
 from repro.core.labelling import build_labels
+from repro.core.pareto_search import slack_differences
 from repro.core.stl import StableTreeLabelling
 from repro.graph.generators import random_connected_graph
 from repro.graph.updates import EdgeUpdate, UpdateBatch
@@ -76,7 +78,7 @@ def test_pareto_maintenance_equals_rebuild(scenario):
     graph, updates = scenario
     stl = _replay(graph, updates, "pareto")
     rebuilt = build_labels(stl.graph, stl.hierarchy)
-    assert stl.labels.equals(rebuilt), stl.labels.differences(rebuilt)[:5]
+    assert slack_differences(stl.labels, rebuilt) == []
 
 
 @SETTINGS
@@ -94,7 +96,7 @@ def test_both_strategies_agree(scenario):
     graph, updates = scenario
     pareto = _replay(graph, updates, "pareto")
     label_search = _replay(graph, updates, "label_search")
-    assert pareto.labels.equals(label_search.labels)
+    assert slack_differences(pareto.labels, label_search.labels) == []
 
 
 @SETTINGS
@@ -173,7 +175,7 @@ def _replay_batches(graph, rounds, engine):
 #: A stream on which the Pareto batch engine and the rebuild associate one
 #: sum through the ``1e15`` edge differently and land one ulp apart
 #: (``1000000000000038.5`` vs ``.6``): equal under the relative tolerance,
-#: unequal under an absolute one.
+#: unequal under an absolute one (and under ``equals``).
 _ULP_APART = (
     random_connected_graph(14, 0.18, seed=4615),
     [
@@ -190,16 +192,17 @@ _ULP_APART = (
 @given(stream_scenarios())
 @example(_ULP_APART)
 def test_batch_engines_agree_on_random_streams(scenario):
-    """Both engine families land on entry-wise identical labels after the
-    same stream -- and both equal a from-scratch rebuild."""
+    """Both engine families land on the same labels after the same stream:
+    Label Search on a from-scratch rebuild's bytes, Pareto within
+    ``MARK_SLACK`` of them."""
     graph, rounds = scenario
     pareto = _replay_batches(graph, rounds, "pareto")
     label_search = _replay_batches(graph, rounds, "label_search")
-    assert pareto.labels.equals(label_search.labels), (
-        pareto.labels.differences(label_search.labels)[:5]
-    )
     rebuilt = build_labels(pareto.graph, pareto.hierarchy)
-    assert pareto.labels.equals(rebuilt), pareto.labels.differences(rebuilt)[:5]
+    assert bytes(label_search.labels.view) == bytes(rebuilt.view), (
+        label_search.labels.differences(rebuilt)[:5]
+    )
+    assert slack_differences(pareto.labels, rebuilt) == []
 
 
 @SETTINGS
